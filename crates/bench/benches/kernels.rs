@@ -610,13 +610,15 @@ fn bench_tcp_second() {
 }
 
 fn bench_campaign() {
+    use mmwave_campaign::json::Json;
     use mmwave_campaign::{artifact, manifest, RunRecord, RunStatus};
     use mmwave_sim::metrics::EngineCounters;
-    // The control plane hashes every chunk twice per campaign task
-    // (once on append, once per --resume verify), so the FNV-1a walk
-    // over a representative chunk body is a real per-task cost. The
-    // chunk is rendered once outside the timed loop: this measures the
-    // hash, not the JSON encoder.
+    // Per-chunk costs of the control plane on one representative chunk:
+    // the encoder (every executed task, and every record again in the
+    // summary render), the decoder (every chunk a --resume skips) and the
+    // FNV-1a hash (once on append, once per --resume verify). The chunk
+    // is rendered once outside the hash and decode loops, so each row
+    // measures one layer only.
     let record = RunRecord {
         experiment: "fig23".into(),
         title: "TCP loss under reflected interference".into(),
@@ -636,6 +638,13 @@ fn bench_campaign() {
         },
     };
     let chunk = artifact::run_to_json(&record).render();
+    bench("campaign/decode_chunk", || {
+        let doc = Json::parse(black_box(&chunk)).expect("rendered chunk parses");
+        artifact::run_from_json(&doc).expect("rendered chunk decodes")
+    });
+    bench("campaign/encode_chunk", || {
+        artifact::run_to_json(black_box(&record)).render()
+    });
     bench("campaign/manifest_hash_chunk", move || {
         manifest::fnv1a64(black_box(chunk.as_bytes()))
     });

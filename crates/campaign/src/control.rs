@@ -28,8 +28,9 @@
 //!    the three degrades to re-execution, never to a wrong artifact.
 //! 3. **Byte-stability**: a resumed campaign's final artifact set is
 //!    byte-identical (after execution-metadata normalization) to a fresh
-//!    run — resumed records are decoded from their chunks with the same
-//!    codec that wrote them, and the codec round-trips exactly.
+//!    run — resumed records are decoded from the very bytes that hashed
+//!    clean (one read per chunk) with the same codec that wrote them, and
+//!    the codec round-trips exactly.
 //!
 //! Worker-process failure is contained the same way experiment panics
 //! are: a task whose worker died mid-frame is retried once on a
@@ -115,20 +116,20 @@ pub fn run_streaming(
         None
     };
     for task in tasks {
-        let entry = previous
+        // Each candidate chunk is read and hashed once, and the record is
+        // decoded from exactly those bytes. Hash-clean bytes can still fail
+        // to decode (e.g. a chunk from an older schema whose manifest
+        // somehow fingerprint-matched); that also degrades to re-execution.
+        let record = previous
             .as_ref()
             .and_then(|m| m.entry(task.exp.id, task.seed))
             .filter(|e| e.rel_path == artifact::run_artifact_name(task.exp.id, task.seed))
-            .filter(|e| e.verify(out));
-        // Hash-clean bytes can still fail to decode (e.g. a chunk from an
-        // older schema whose manifest somehow fingerprint-matched); that
-        // also degrades to re-execution.
-        let record = entry.and_then(|e| {
-            let text = std::fs::read_to_string(out.join(&e.rel_path)).ok()?;
-            let parsed = crate::json::Json::parse(&text).ok()?;
-            let rec = artifact::run_from_json(&parsed).ok()?;
-            Some((e.clone(), rec))
-        });
+            .and_then(|e| {
+                let text = String::from_utf8(e.read_verified(out)?).ok()?;
+                let parsed = crate::json::Json::parse(&text).ok()?;
+                let rec = artifact::run_from_json(&parsed).ok()?;
+                Some((e.clone(), rec))
+            });
         match record {
             Some((entry, rec)) => {
                 carried.push(entry);

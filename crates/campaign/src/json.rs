@@ -1,7 +1,7 @@
 //! Hand-rolled JSON encoder/decoder — std-only.
 //!
 //! The workspace builds in hermetic environments with no crates.io access,
-//! so campaign artifacts are serialized with this ~300-line module instead
+//! so campaign artifacts are serialized with this small module instead
 //! of serde. Two properties matter more than generality:
 //!
 //! * **Deterministic output** — objects keep insertion order (a `Vec` of
@@ -12,8 +12,25 @@
 //! * **Round-tripping** — `Json::parse(v.render())` reconstructs `v`
 //!   exactly (floats included, thanks to shortest-repr printing), which
 //!   the workspace smoke test asserts end to end.
+//! * **Linear time** — strings decode and encode as *runs*: the decoder
+//!   copies everything up to the next `"` or `\` as one slice of the
+//!   input, and the encoder copies everything up to the next byte that
+//!   needs escaping (`"`, `\`, or a control byte below 0x20) in one
+//!   `push_str`. Every delimiter is ASCII, so run boundaries always fall
+//!   on char boundaries and no per-character UTF-8 work is needed. Chunk
+//!   decode on `--resume`, worker `RESULT` frames and the summary render
+//!   all cost time proportional to their size.
+//! * **Bounded nesting** — the decoder recurses once per array/object
+//!   level, so an input like a million `[` would overflow the stack and
+//!   abort the process. Nesting deeper than `MAX_DEPTH` (64) levels is a
+//!   [`JsonError`] at the offending bracket instead. Everything this
+//!   workspace writes (artifacts, wire frames, `BENCH_kernels.json`)
+//!   nests three deep.
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`Json::parse`] accepts.
+const MAX_DEPTH: usize = 64;
 
 /// A JSON value. Objects preserve insertion order for deterministic output.
 #[derive(Clone, Debug, PartialEq)]
@@ -143,8 +160,10 @@ impl Json {
     /// surrounding whitespace).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -177,21 +196,30 @@ fn write_f64(out: &mut String, v: f64) {
     }
 }
 
+/// Quote `s`, copying each run of bytes that needs no escape with one
+/// `push_str`. The bytes that end a run are ASCII, so they never sit
+/// inside a multi-byte char and every run is a valid `&str` slice.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -215,8 +243,11 @@ impl std::fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -261,8 +292,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(&format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -324,13 +366,24 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the whole run up to the next delimiter as one slice.
+            // `pos` starts on a char boundary (after `"` or a complete
+            // escape, all ASCII) and the run stops at `"`, `\` or the end
+            // of input, so the slice is valid UTF-8 by construction.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                // The run stopped on `\`: decode one escape sequence.
+                Some(_) => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -349,15 +402,6 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("bad escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one full UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -522,6 +566,54 @@ mod tests {
             let back = Json::parse(&text).expect("parses");
             assert_eq!(back.as_f64().expect("num"), x, "float {x} drifted");
         }
+    }
+
+    #[test]
+    fn escaping_is_pinned_byte_for_byte() {
+        // Artifact bytes are hashed into the resume ledger, so the encoder
+        // may never change what it emits: quotes, backslashes and control
+        // bytes escape, everything else (DEL, multi-byte chars) is copied.
+        let s = "\"a\\b\n\r\t\u{1}\u{1f} é😀\u{7f}\"";
+        assert_eq!(
+            Json::Str(s.into()).render(),
+            "\"\\\"a\\\\b\\n\\r\\t\\u0001\\u001f é😀\u{7f}\\\"\"\n"
+        );
+        assert_eq!(
+            Json::parse(&Json::Str(s.into()).render()),
+            Ok(Json::Str(s.into()))
+        );
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        // Unbounded recursion on a million unclosed brackets would overflow
+        // the stack: an abort that `catch_unwind` cannot contain.
+        let err = Json::parse(&"[".repeat(1_000_000)).expect_err("too deep");
+        assert_eq!(
+            err.offset, MAX_DEPTH,
+            "error points at the first bracket past the cap"
+        );
+        let nest = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(
+            Json::parse(&nest(MAX_DEPTH)).is_ok(),
+            "exactly at the cap parses"
+        );
+        assert_eq!(
+            Json::parse(&nest(MAX_DEPTH + 1))
+                .expect_err("one past")
+                .offset,
+            MAX_DEPTH
+        );
+        // Objects count towards the same limit.
+        let objects = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert_eq!(
+            Json::parse(&objects).expect_err("objects too deep").offset,
+            5 * MAX_DEPTH
+        );
     }
 
     #[test]

@@ -125,13 +125,19 @@ impl ChunkEntry {
         })
     }
 
+    /// The chunk file's bytes under `out`, if it exists and matches this
+    /// entry's recorded length and hash. A caller that decodes the result
+    /// decodes exactly the bytes that were hashed, with one read of the
+    /// file, rather than a second read the hash never saw.
+    pub fn read_verified(&self, out: &Path) -> Option<Vec<u8>> {
+        let bytes = std::fs::read(out.join(&self.rel_path)).ok()?;
+        (bytes.len() as u64 == self.len && fnv1a64(&bytes) == self.hash).then_some(bytes)
+    }
+
     /// True if the chunk file under `out` exists and matches this entry's
     /// recorded length and hash.
     pub fn verify(&self, out: &Path) -> bool {
-        let Ok(bytes) = std::fs::read(out.join(&self.rel_path)) else {
-            return false;
-        };
-        bytes.len() as u64 == self.len && fnv1a64(&bytes) == self.hash
+        self.read_verified(out).is_some()
     }
 }
 
@@ -331,8 +337,12 @@ mod tests {
         assert!(!e.verify(&dir), "missing chunk must not verify");
         std::fs::write(dir.join(&e.rel_path), body).expect("write chunk");
         assert!(e.verify(&dir));
+        assert_eq!(e.read_verified(&dir).as_deref(), Some(&body[..]));
         std::fs::write(dir.join(&e.rel_path), b"{\n  \"k\": 2\n}\n").expect("corrupt");
         assert!(!e.verify(&dir), "corrupted chunk must not verify");
+        assert_eq!(e.read_verified(&dir), None);
+        std::fs::write(dir.join(&e.rel_path), &body[..body.len() - 1]).expect("truncate");
+        assert!(!e.verify(&dir), "truncated chunk must not verify");
         std::fs::remove_dir_all(&dir).ok();
     }
 

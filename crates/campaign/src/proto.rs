@@ -18,7 +18,9 @@
 //! The explicit length makes framing independent of payload content
 //! (rendered JSON contains newlines), and the trailing newline after the
 //! payload is a cheap tear detector: if it is missing, the peer died
-//! mid-write and the stream is declared broken rather than resynced.
+//! mid-write and the stream is declared broken rather than resynced. A
+//! header length above `MAX_FRAME_LEN` is refused as `InvalidData`
+//! before anything is allocated for it.
 //!
 //! Determinism: a `TASK` payload carries exactly the fields of
 //! [`TaskSpec`] that define artifact bytes (experiment id, matrix index,
@@ -143,6 +145,13 @@ impl WireTask {
     }
 }
 
+/// Largest payload [`read_msg`] accepts. The length comes from the peer's
+/// header, so it is bounded before anything is allocated for it: a corrupt
+/// or hostile header must fail the frame, not abort the control plane on
+/// a terabyte allocation. Real payloads (one artifact chunk) are a few
+/// KiB, so the cap leaves four orders of magnitude of headroom.
+pub(crate) const MAX_FRAME_LEN: usize = 64 << 20;
+
 fn tag(msg: &Msg) -> &'static str {
     match msg {
         Msg::Task(_) => "TASK",
@@ -196,6 +205,12 @@ pub fn read_msg(r: &mut impl BufRead) -> io::Result<Option<Msg>> {
     let len: usize = len
         .parse()
         .map_err(|_| bad_data("protocol header", format!("bad length: {header:?}")))?;
+    if len > MAX_FRAME_LEN {
+        return Err(bad_data(
+            "protocol header",
+            format!("length {len} exceeds the {MAX_FRAME_LEN}-byte frame cap"),
+        ));
+    }
     let mut body = vec![0u8; len + 1];
     r.read_exact(&mut body)
         .map_err(|e| bad_data("protocol payload", format!("short read: {e}")))?;
@@ -321,6 +336,30 @@ mod tests {
         assert!(read_msg(&mut BufReader::new(&buf2[..])).is_err());
         // Unknown tag.
         assert!(read_msg(&mut BufReader::new(&b"BOGUS 0\n\n"[..])).is_err());
+    }
+
+    fn read_header_only(header: &str) -> io::Error {
+        read_msg(&mut BufReader::new(header.as_bytes())).expect_err(header)
+    }
+
+    #[test]
+    fn frame_length_that_would_overflow_is_rejected() {
+        // Without the cap, `len + 1` overflows (a debug-build panic).
+        let err = read_header_only("RESULT 18446744073709551615\n");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("frame cap"), "{err}");
+    }
+
+    #[test]
+    fn frame_length_past_the_cap_is_rejected_before_allocating() {
+        // Without the cap, a 1 TiB length aborts the process inside the
+        // allocator.
+        let err = read_header_only("RESULT 1099511627776\n");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("frame cap"), "{err}");
+        // One byte past the cap is already refused.
+        let err = read_header_only(&format!("RESULT {}\n", MAX_FRAME_LEN + 1));
+        assert!(err.to_string().contains("frame cap"), "{err}");
     }
 
     #[test]

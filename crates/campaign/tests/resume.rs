@@ -72,17 +72,25 @@ fn resume_reexecutes_only_damaged_tasks_and_converges_bytewise() {
     assert_eq!(fresh.result.chunks_streamed, 8);
     let want = canonical_tree(&fresh_dir);
 
-    // Victim: same campaign, then three independent kinds of damage.
+    // Victim: same campaign, then three independent kinds of damage. With
+    // two jobs the ledger's order (and so which task's line is last, the
+    // one torn in (c)) depends on scheduling, so the deleted and corrupted
+    // cells are picked from the ledger's other entries.
     let first = control::run_streaming(&cfg(), &damaged_dir, &opts).expect("victim campaign");
     assert!(first.result.all_passed());
+    let entries = manifest::Manifest::load(&damaged_dir)
+        .expect("victim ledger")
+        .entries;
+    assert_eq!(entries.len(), 8);
+    let cell = |e: &manifest::ChunkEntry| (e.experiment.clone(), e.seed);
 
     // (a) one chunk deleted outright,
-    let deleted = ("table1".to_string(), 2u64);
+    let deleted = cell(&entries[0]);
     std::fs::remove_file(damaged_dir.join(artifact::run_artifact_name(&deleted.0, deleted.1)))
         .expect("delete chunk");
 
     // (b) one chunk corrupted in place (hash must catch it),
-    let corrupted = ("fig08".to_string(), 1u64);
+    let corrupted = cell(&entries[1]);
     let victim_path = damaged_dir.join(artifact::run_artifact_name(&corrupted.0, corrupted.1));
     let mut bytes = std::fs::read(&victim_path).expect("read chunk");
     let mid = bytes.len() / 2;
@@ -96,12 +104,17 @@ fn resume_reexecutes_only_damaged_tasks_and_converges_bytewise() {
     let ledger = std::fs::read_to_string(&ledger_path).expect("read ledger");
     let last_line = ledger.lines().last().expect("nonempty ledger");
     let torn = manifest::ChunkEntry::parse(&format!("{last_line}\n")).expect("parseable tail");
+    assert_eq!(
+        Some(&torn),
+        entries.last(),
+        "the torn line is the last entry"
+    );
     std::fs::write(
         &ledger_path,
         &ledger[..ledger.len() - last_line.len() / 2 - 1],
     )
     .expect("tear ledger");
-    let torn_key = (torn.experiment.clone(), torn.seed);
+    let torn_key = cell(&torn);
     assert_ne!(torn_key, deleted, "damage must hit three distinct tasks");
     assert_ne!(torn_key, corrupted, "damage must hit three distinct tasks");
 

@@ -39,12 +39,15 @@ cargo test -q --release -p mmwave-campaign --test spatial_equivalence
 echo "==> campaign control-plane suites"
 # The worker wire protocol smoked against the real `campaign worker`
 # subprocess, crash-recovery resume (damaged chunks / torn manifest →
-# only the damaged tasks re-execute), and the sharded-vs-in-process
-# equivalence: `--workers N` must emit the same artifact bytes as the
-# in-process pool.
+# only the damaged tasks re-execute), the sharded-vs-in-process
+# equivalence (`--workers N` must emit the same artifact bytes as the
+# in-process pool), and the seeded JSON codec suite (round trips,
+# truncated and bit-flipped chunks never panic, a 1 MiB string decodes
+# in linear time).
 cargo test -q --release -p mmwave-campaign --test worker_protocol
 cargo test -q --release -p mmwave-campaign --test resume
 cargo test -q --release -p mmwave-campaign --test process_equivalence
+cargo test -q --release -p mmwave-campaign --test json_fuzz
 
 echo "==> SoA kernel equivalence suites"
 # Every SoA/chunked hot path must reproduce its retained scalar
