@@ -314,6 +314,10 @@ mod tests {
     use super::*;
 
     fn record(status: RunStatus) -> RunRecord {
+        let mut engine = EngineCounters::default();
+        for (i, f) in EngineCounters::FIELDS.iter().enumerate() {
+            engine.set(f, 1000 + 17 * i as u64);
+        }
         RunRecord {
             experiment: "fig09".into(),
             title: "Fig. 9: WiGig data frame length".into(),
@@ -333,24 +337,7 @@ mod tests {
                 None
             },
             wall_ms: 12.5,
-            engine: EngineCounters {
-                events_popped: 1000,
-                events_cancelled: 17,
-                peak_queue_depth: 23,
-                link_gain_hits: 640,
-                link_gain_misses: 12,
-                link_gain_invalidations: 3,
-                scenario_mutations: 5,
-                faults_injected: 2,
-                codebook_hits: 6,
-                codebook_misses: 4,
-                codebook_prebuilt_hits: 3,
-                cc_reports_folded: 31,
-                cc_patterns_installed: 19,
-                cc_loss_epochs: 2,
-                spatial_pruned_pairs: 11,
-                spatial_zone_invalidations: 1,
-            },
+            engine,
         }
     }
 

@@ -153,7 +153,7 @@ fn main() {
         Ok(c) => c,
         Err(e) => {
             eprintln!(
-                "{e}\nusage: campaign [--jobs N] [--workers N] [--resume] [--seeds A..B] [--quick] [--cc ALG] [--out DIR] [--json] [--list] [all | <id> ...]"
+                "{e}\nusage: campaign [--jobs N] [--workers N] [--resume] [--seeds A..B] [--quick] [--cc ALG] [--prune MODE] [--out DIR] [--json] [--list] [all | <id> ...]"
             );
             std::process::exit(2);
         }

@@ -152,13 +152,14 @@ pub struct Manifest {
 
 impl Manifest {
     /// Load `<out>/campaign.manifest`, tolerating truncation: only lines
-    /// terminated by `\n` that parse completely are kept. Returns `None`
-    /// when the file is missing or its header is unusable — both mean
-    /// "nothing to resume from".
+    /// terminated by `\n` that are UTF-8 and parse completely are kept.
+    /// Returns `None` when the file is missing or its header is unusable —
+    /// both mean "nothing to resume from".
     pub fn load(out: &Path) -> Option<Manifest> {
-        let text = std::fs::read_to_string(out.join(MANIFEST_FILE_NAME)).ok()?;
-        let mut lines = text.split_inclusive('\n');
-        let header = lines.next()?;
+        let bytes = std::fs::read(out.join(MANIFEST_FILE_NAME)).ok()?;
+        // Split raw bytes, so a non-UTF-8 byte spoils only its own line.
+        let mut lines = bytes.split_inclusive(|&b| b == b'\n');
+        let header = std::str::from_utf8(lines.next()?).ok()?;
         if !header.ends_with('\n') {
             return None; // killed while writing the header itself
         }
@@ -170,12 +171,12 @@ impl Manifest {
         let mut entries = Vec::new();
         for line in lines {
             // A line without a newline is the torn tail of a killed
-            // append; a line that fails to parse is corruption. Either
-            // way: drop it, the task re-executes.
-            if !line.ends_with('\n') {
+            // append; a line that is not UTF-8 or fails to parse is
+            // corruption. Either way: drop it, the task re-executes.
+            if !line.ends_with(b"\n") {
                 continue;
             }
-            if let Some(e) = ChunkEntry::parse(line) {
+            if let Some(e) = std::str::from_utf8(line).ok().and_then(ChunkEntry::parse) {
                 entries.push(e);
             }
         }
@@ -291,17 +292,24 @@ mod tests {
     fn corrupt_lines_are_dropped_not_fatal() {
         let dir = tmpdir("corrupt");
         let path = dir.join(MANIFEST_FILE_NAME);
-        std::fs::write(
-            &path,
+        // A valid entry with one byte that is not UTF-8.
+        let mut not_utf8 = entry(3).render().into_bytes();
+        not_utf8[8] = 0xff;
+        let mut text = format!(
+            "{MANIFEST_FILE_SCHEMA} fp 0000000000000abc\n\
+             chunk zzzz 1 fig09 1 runs/fig09-s1.json\n"
+        )
+        .into_bytes();
+        text.extend_from_slice(&not_utf8);
+        text.extend_from_slice(
             format!(
-                "{MANIFEST_FILE_SCHEMA} fp 0000000000000abc\n\
-                 chunk zzzz 1 fig09 1 runs/fig09-s1.json\n\
-                 {}chunk 0123 not-a-len fig09 7 runs/x.json\n\
+                "{}chunk 0123 not-a-len fig09 7 runs/x.json\n\
                  garbage line\n",
                 entry(2).render()
-            ),
-        )
-        .expect("write");
+            )
+            .as_bytes(),
+        );
+        std::fs::write(&path, text).expect("write");
         let m = Manifest::load(&dir).expect("loads");
         assert_eq!(m.entries, vec![entry(2)]);
         std::fs::remove_dir_all(&dir).ok();

@@ -26,7 +26,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::{CampaignConfig, CampaignResult, RunRecord, RunStatus, TaskSpec};
-use mmwave_channel::PruneMode;
 use mmwave_phy::CodebookPrebuild;
 use mmwave_sim::ctx::{CacheMode, SimCtx};
 
@@ -42,21 +41,6 @@ pub fn run_with_cache_mode(cfg: &CampaignConfig, mode: CacheMode) -> CampaignRes
     let mut tasks = cfg.tasks();
     for t in &mut tasks {
         t.cache_mode = mode;
-    }
-    run_tasks(cfg, tasks)
-}
-
-/// [`run`], but with every task's spatial prune mode forced to `mode`.
-/// The differential suite runs the same matrix under
-/// [`PruneMode::Audit`] — every pruned pair is re-evaluated through the
-/// full radiometric chain and asserted below the coupling floor — to
-/// prove enforce-mode pruning never changes an artifact byte.
-///
-/// [`PruneMode::Audit`]: mmwave_channel::PruneMode::Audit
-pub fn run_with_prune_mode(cfg: &CampaignConfig, mode: PruneMode) -> CampaignResult {
-    let mut tasks = cfg.tasks();
-    for t in &mut tasks {
-        t.prune = Some(mode);
     }
     run_tasks(cfg, tasks)
 }
@@ -165,27 +149,15 @@ fn worker_loop(
     }
 }
 
-/// Execute one matrix cell, isolating panics and collecting metrics,
-/// without a prebuilt codebook pool (standalone/diagnostic use; the
-/// campaign proper goes through [`run_task_prebuilt`]).
-pub fn run_task(task: &TaskSpec) -> RunRecord {
-    run_task_inner(task, None)
-}
-
-/// [`run_task`] with a campaign-wide prebuilt codebook pool installed
-/// into the task's context before the experiment runs.
+/// Execute one matrix cell, isolating panics and collecting metrics, with
+/// a campaign-wide prebuilt codebook pool installed into the task's
+/// context before the experiment runs.
 pub fn run_task_prebuilt(task: &TaskSpec, pool: &CodebookPrebuild) -> RunRecord {
-    run_task_inner(task, Some(pool))
-}
-
-fn run_task_inner(task: &TaskSpec, pool: Option<&CodebookPrebuild>) -> RunRecord {
     // A fresh context per task: the counters and the codebook cache are
     // born empty, so the counters (and thus artifact bytes) are a pure
     // function of the task regardless of which worker ran what before.
     let ctx = SimCtx::with_cache_mode(task.cache_mode);
-    if let Some(pool) = pool {
-        pool.install(&ctx);
-    }
+    pool.install(&ctx);
     if let Some(kind) = task.cc {
         mmwave_transport::cc::install_override(&ctx, kind);
     }
@@ -377,7 +349,7 @@ mod tests {
             cc: None,
             prune: None,
         };
-        let rec = run_task(&t);
+        let rec = run_task_prebuilt(&t, &CodebookPrebuild::standard(&[]));
         assert!(rec.status.is_pass());
         assert!(rec.wall_ms >= 0.0);
         assert_eq!(rec.output, "seed=3");

@@ -9,8 +9,8 @@
 //! physics couples above the floor) panics the audit run and shows up
 //! here as a `panicked` record diffing against a `pass`.
 //!
-//! The prune mode is per-task state: [`runner::run_with_prune_mode`]
-//! stamps it into every task's [`SimCtx`] via
+//! The prune mode is per-task state: [`CampaignConfig::prune`] is
+//! stamped into every task's [`SimCtx`] via
 //! [`mmwave_channel::spatial::install_override`], so the two campaigns
 //! coexist with any other test without shared flags.
 //!
@@ -38,9 +38,9 @@ fn normalized_artifacts(mode: PruneMode) -> Vec<(String, String)> {
         quick: true,
         jobs: 2,
         cc: None,
-        prune: None,
+        prune: Some(mode),
     };
-    let result = runner::run_with_prune_mode(&cfg, mode);
+    let result = runner::run(&cfg);
     assert!(
         result.all_passed(),
         "{} campaign must pass before bytes are compared",

@@ -55,6 +55,7 @@ use crate::node::RadioNode;
 use mmwave_phy::{db_to_lin, lin_to_db, path_loss_db, AntennaPattern, Codebook};
 use mmwave_sim::ctx::SimCtx;
 use mmwave_sim::hash::FastMap;
+use mmwave_sim::metrics::Counter;
 
 // The cache mode lives on the simulation context; re-exported here because
 // it is, first and foremost, the link-gain cache's policy knob.
@@ -274,7 +275,7 @@ impl LinkGainCache {
 
     fn record_invalidation(&mut self) {
         self.stats.invalidations += 1;
-        self.ctx.record_link_gain_invalidation();
+        self.ctx.bump(Counter::LinkGainInvalidations);
     }
 
     /// Total linear pattern-weighted link gain from `src` (transmitting
@@ -349,7 +350,7 @@ impl LinkGainCache {
             Some(g) if g.stamp == stamp => {
                 let (lin, db) = (g.lin, g.db);
                 self.stats.gain_hits += 1;
-                self.ctx.record_link_gain_hit();
+                self.ctx.bump(Counter::LinkGainHits);
                 if self.mode == CacheMode::Cached {
                     return (lin, db);
                 }
@@ -362,7 +363,7 @@ impl LinkGainCache {
         };
         if !hit {
             self.stats.gain_misses += 1;
-            self.ctx.record_link_gain_miss();
+            self.ctx.bump(Counter::LinkGainMisses);
         }
 
         let (lo_orient, hi_orient) = (self.orient_gen[lo], self.orient_gen[hi]);
@@ -445,7 +446,7 @@ impl LinkGainCache {
         );
         let best = if hit {
             self.stats.table_hits += 1;
-            self.ctx.record_link_gain_hit();
+            self.ctx.bump(Counter::LinkGainHits);
             match self.mode {
                 CacheMode::Cached => self.tables[&(lo, hi)].best,
                 CacheMode::Bypass => {
@@ -455,7 +456,7 @@ impl LinkGainCache {
             }
         } else {
             self.stats.table_builds += 1;
-            self.ctx.record_link_gain_miss();
+            self.ctx.bump(Counter::LinkGainMisses);
             let table = self.build_table(lo, lo_node, cb_lo, hi, hi_node, cb_hi, stamp);
             let best = table.best;
             self.tables.insert((lo, hi), table);

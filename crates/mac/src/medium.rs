@@ -15,6 +15,7 @@ use mmwave_channel::{link_state, Environment, LinkGainCache};
 use mmwave_geom::Point;
 use mmwave_phy::{db_to_lin, lin_to_db};
 use mmwave_sim::ctx::SimCtx;
+use mmwave_sim::metrics::Counter;
 use mmwave_sim::time::SimTime;
 
 /// A transmission currently on the air.
@@ -219,7 +220,7 @@ impl Medium {
             if src < tracked && dst < tracked && !sp.coupled_pair(src, dst) {
                 let (mode, floor) = (sp.mode, sp.floor_dbm);
                 let audit = mode == PruneMode::Audit && sp.audited.insert((src, dst));
-                self.cache.ctx().record_spatial_pruned(1);
+                self.cache.ctx().bump(Counter::SpatialPrunedPairs);
                 if audit {
                     // Counter-free recomputation from the devices' *actual*
                     // node state: a stale grid or an unsound bound panics
@@ -315,7 +316,7 @@ impl Medium {
                     + link_offsets[d];
             }
             let pruned = (devices.len() as u64 - 1) - coupled.len() as u64;
-            self.cache.ctx().record_spatial_pruned(pruned);
+            self.cache.ctx().add(Counter::SpatialPrunedPairs, pruned);
             self.spatial.as_mut().expect("spatial state").scratch = coupled;
         } else {
             power_at.extend((0..devices.len()).map(|d| {

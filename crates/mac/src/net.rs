@@ -18,6 +18,7 @@ use mmwave_geom::{Angle, Point, PropPath, Segment};
 use mmwave_phy::{AntennaPattern, McsTable};
 use mmwave_sim::ctx::SimCtx;
 use mmwave_sim::hash::FastMap;
+use mmwave_sim::metrics::Counter;
 use mmwave_sim::queue::EventQueue;
 use mmwave_sim::rng::SimRng;
 use mmwave_sim::stats::BusyTracker;
@@ -375,7 +376,7 @@ impl Net {
     fn apply_scenario(&mut self, idx: usize) {
         let mutation = self.scenario_events[idx].mutation.clone();
         self.n_scenario_mutations += 1;
-        self.ctx.record_scenario_mutation();
+        self.ctx.bump(Counter::ScenarioMutations);
         match mutation {
             WorldMutation::MoveDevice {
                 dev,
@@ -673,7 +674,7 @@ impl Net {
                 m.paths.clear();
             }
         }
-        self.ctx.record_spatial_zone_invalidation();
+        self.ctx.bump(Counter::SpatialZoneInvalidations);
     }
 
     /// The network configuration.
@@ -866,7 +867,7 @@ impl Net {
                 // consuming a PER draw (with no windows installed the RNG
                 // stream is untouched and runs reproduce exactly).
                 self.n_faults_injected += 1;
-                self.ctx.record_fault_injected();
+                self.ctx.bump(Counter::FaultsInjected);
                 self.devices[dst].stats.rx_corrupted += 1;
                 false
             } else if tx.dst_was_busy {

@@ -17,6 +17,7 @@
 use crate::array::{ArrayFingerprint, Complex, PhasedArray, SynthScratch};
 use mmwave_geom::Angle;
 use mmwave_sim::ctx::SimCtx;
+use mmwave_sim::metrics::Counter;
 use std::cell::RefCell;
 use std::f64::consts::PI;
 use std::sync::Arc;
@@ -205,7 +206,7 @@ impl Codebook {
             .find(|(k, _)| *k == key)
             .map(|(_, cb)| cb.clone());
         if let Some(cb) = hit {
-            ctx.record_codebook_hit();
+            ctx.bump(Counter::CodebookHits);
             return cb;
         }
         // Not in this context's cache: an installed prebuilt pool answers
@@ -216,7 +217,7 @@ impl Codebook {
         let slot = ctx.ext_or_insert_with(PrebuiltSlot::default);
         if let Some(pool) = slot.0.get() {
             if let Some((_, cb)) = pool.entries.iter().find(|(k, _)| *k == key) {
-                ctx.record_codebook_prebuilt_hit();
+                ctx.bump(Counter::CodebookPrebuiltHits);
                 let cb = cb.clone();
                 let mut cache = store.entries.borrow_mut();
                 if cache.len() == CACHE_CAP {
@@ -226,7 +227,7 @@ impl Codebook {
                 return cb;
             }
         }
-        ctx.record_codebook_miss();
+        ctx.bump(Counter::CodebookMisses);
         let cb = Codebook {
             kind: key.kind,
             sectors: Arc::new(build()),

@@ -8,7 +8,6 @@
 //! guarantees.
 
 use crate::ctx::SimCtx;
-use crate::metrics::EngineCounters;
 use crate::queue::{EventId, EventQueue};
 use crate::time::{SimDuration, SimTime};
 
@@ -66,7 +65,6 @@ impl<W> Scheduler<W> {
 pub struct Engine<W> {
     world: W,
     sched: Scheduler<W>,
-    processed: u64,
 }
 
 impl<W> Engine<W> {
@@ -77,12 +75,11 @@ impl<W> Engine<W> {
     }
 
     /// Wrap `world` with an empty event queue at t = 0, streaming queue
-    /// counters into `ctx`.
+    /// counters (events popped and cancelled, peak depth) into `ctx`.
     pub fn with_ctx(world: W, ctx: &SimCtx) -> Self {
         Engine {
             world,
             sched: Scheduler::with_ctx(ctx),
-            processed: 0,
         }
     }
 
@@ -116,27 +113,6 @@ impl<W> Engine<W> {
         self.sched.cancel(id)
     }
 
-    /// Total events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Scheduler activity counters for this engine: events popped and
-    /// cancelled, and the deepest the queue ever got. The same counters
-    /// also stream into the [`SimCtx`] the engine was built with, so
-    /// callers that never see the engine (the campaign layer running
-    /// opaque experiments) can still report them per run.
-    pub fn metrics(&self) -> EngineCounters {
-        EngineCounters {
-            events_popped: self.sched.queue.popped(),
-            events_cancelled: self.sched.queue.cancelled_count(),
-            peak_queue_depth: self.sched.queue.peak_len() as u64,
-            // Link-gain cache activity is not an engine-level quantity; it
-            // reaches artifacts through the context only.
-            ..EngineCounters::default()
-        }
-    }
-
     /// Run a single event if one is pending; returns false when idle.
     pub fn step(&mut self) -> bool {
         match self.sched.queue.pop() {
@@ -144,7 +120,6 @@ impl<W> Engine<W> {
                 debug_assert!(at >= self.sched.now, "event queue went backwards");
                 self.sched.now = at;
                 f(&mut self.world, at, &mut self.sched);
-                self.processed += 1;
                 true
             }
             None => false,
@@ -193,13 +168,14 @@ mod tests {
 
     #[test]
     fn events_run_in_order_and_clock_advances() {
-        let mut e = Engine::new(W::default());
+        let ctx = SimCtx::new();
+        let mut e = Engine::with_ctx(W::default(), &ctx);
         e.schedule(SimTime::from_nanos(20), ev("b"));
         e.schedule(SimTime::from_nanos(10), ev("a"));
         e.run_until(SimTime::from_nanos(100));
         assert_eq!(e.world().log, vec![(10, "a"), (20, "b")]);
         assert_eq!(e.now(), SimTime::from_nanos(100));
-        assert_eq!(e.events_processed(), 2);
+        assert_eq!(ctx.counters().events_popped, 2);
     }
 
     #[test]
@@ -276,13 +252,14 @@ mod tests {
 
     #[test]
     fn metrics_count_pops_cancels_and_peak_depth() {
-        let mut e = Engine::new(W::default());
+        let ctx = SimCtx::new();
+        let mut e = Engine::with_ctx(W::default(), &ctx);
         let a = e.schedule(SimTime::from_nanos(10), ev("a"));
         e.schedule(SimTime::from_nanos(20), ev("b"));
         e.schedule(SimTime::from_nanos(30), ev("c"));
         assert!(e.cancel(a));
         e.run_to_idle();
-        let m = e.metrics();
+        let m = ctx.counters();
         assert_eq!(m.events_popped, 2);
         assert_eq!(m.events_cancelled, 1);
         assert_eq!(m.peak_queue_depth, 3);

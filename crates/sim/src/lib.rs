@@ -58,7 +58,7 @@ pub mod prelude {
     pub use crate::engine::{Engine, EventFn, Scheduler};
     pub use crate::hash::{FastMap, FastSet};
     pub use crate::metrics::EngineCounters;
-    pub use crate::queue::{EventId, EventQueue, QueueBackend};
+    pub use crate::queue::{EventId, EventQueue};
     pub use crate::rng::SimRng;
     pub use crate::series::TimeSeries;
     pub use crate::stats::{BusyTracker, Cdf, OnlineStats};

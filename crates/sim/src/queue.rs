@@ -2,43 +2,20 @@
 //!
 //! Events at equal timestamps pop in the order they were scheduled
 //! (FIFO by a monotonically increasing sequence number), which makes the
-//! whole simulation deterministic regardless of backend internals.
-//! Cancellation is *lazy*: a cancelled entry stays in the backend and is
+//! whole simulation deterministic regardless of queue internals.
+//! Cancellation is *lazy*: a cancelled entry stays queued and is
 //! discarded when it surfaces, which keeps `cancel` O(1).
 //!
-//! Two backends implement the same `(at, seq)` min-order contract and are
-//! selected per [`SimCtx`] (see [`QueueBackend`]):
-//!
-//! * a **hierarchical timer wheel** (the default) — near-O(1)
-//!   schedule/pop for the dense-timer regime the MAC and transport layers
-//!   generate (per-frame TX timers, RTO, pacer ticks), and
-//! * a **binary heap** — the reference implementation, kept selectable so
-//!   differential tests can prove both backends pop byte-identical event
-//!   orders on randomized schedule/cancel workloads.
+//! The queue is a hierarchical timer wheel: near-O(1) schedule/pop for
+//! the dense-timer regime the MAC and transport layers generate
+//! (per-frame TX timers, RTO, pacer ticks). A binary-heap reference
+//! model with the same ids, tombstones and `len` semantics lives in
+//! `tests/queue_equivalence.rs`, which proves both pop identical event
+//! orders on randomized schedule/cancel workloads.
 
 use crate::ctx::SimCtx;
+use crate::metrics::Counter;
 use crate::time::SimTime;
-use std::collections::BinaryHeap;
-
-/// Which data structure backs an [`EventQueue`].
-///
-/// Fixed per [`SimCtx`] at construction, like
-/// [`CacheMode`](crate::ctx::CacheMode): every queue built through a
-/// context adopts the context's backend, so a whole simulation switches
-/// implementations in one place. Both backends honor the same
-/// determinism contract — pop order is strictly `(timestamp, scheduling
-/// sequence)` — so switching backends never changes simulation results,
-/// only wall-clock cost.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum QueueBackend {
-    /// Hierarchical timer wheel; near-O(1) per event in the dense-timer
-    /// regime. The production default.
-    #[default]
-    TimerWheel,
-    /// Binary heap; O(log n) per event. The reference implementation
-    /// differential tests compare the wheel against.
-    BinaryHeap,
-}
 
 /// Handle identifying a scheduled event; used to cancel it.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -173,25 +150,6 @@ struct Entry<E> {
     payload: E,
 }
 
-// BinaryHeap is a max-heap; invert the comparison to pop earliest first,
-// breaking ties by scheduling order.
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.at.cmp(&self.at).then(other.seq.cmp(&self.seq))
-    }
-}
-
 /// Slots per wheel level (64 → a `u64` occupancy bitmask per level).
 const WHEEL_SLOTS: usize = 64;
 /// log2 of the level-0 slot width: 2¹⁰ ns ≈ 1 µs, matching the natural
@@ -284,7 +242,7 @@ impl<E> TimerWheel<E> {
     ///
     /// Buffer discipline: slot `Vec`s are never dropped, only swapped or
     /// restored, so the steady state performs zero allocations — the
-    /// property that lets the wheel beat the (allocation-free) heap.
+    /// property that lets the wheel beat an (allocation-free) binary heap.
     fn refill_stage(&mut self) {
         while self.stage.is_empty() {
             let level = (0..WHEEL_LEVELS)
@@ -345,38 +303,6 @@ impl<E> TimerWheel<E> {
     }
 }
 
-/// Backend dispatch. Both variants surface entries in `(at, seq)` order;
-/// tombstone filtering happens in the [`EventQueue`] wrapper so the
-/// cancellation semantics are shared code.
-enum Backend<E> {
-    Heap(BinaryHeap<Entry<E>>),
-    Wheel(TimerWheel<E>),
-}
-
-impl<E> Backend<E> {
-    fn push(&mut self, at: SimTime, seq: u64, payload: E) {
-        let entry = Entry { at, seq, payload };
-        match self {
-            Backend::Heap(h) => h.push(entry),
-            Backend::Wheel(w) => w.push(entry),
-        }
-    }
-
-    fn pop_front(&mut self) -> Option<(SimTime, u64, E)> {
-        match self {
-            Backend::Heap(h) => h.pop().map(|e| (e.at, e.seq, e.payload)),
-            Backend::Wheel(w) => w.pop_front().map(|e| (e.at, e.seq, e.payload)),
-        }
-    }
-
-    fn peek_front(&mut self) -> Option<(SimTime, u64)> {
-        match self {
-            Backend::Heap(h) => h.peek().map(|e| (e.at, e.seq)),
-            Backend::Wheel(w) => w.peek_front(),
-        }
-    }
-}
-
 /// Priority queue of `(SimTime, payload)` pairs with stable FIFO tie-breaks
 /// and O(1) cancellation.
 ///
@@ -392,17 +318,14 @@ impl<E> Backend<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    wheel: TimerWheel<E>,
     cancelled: U64Set,
     next_seq: u64,
     live: usize,
-    popped: u64,
-    cancelled_total: u64,
-    peak_live: usize,
     /// Memoized front `(at, seq)` from the last [`Self::peek_time`], valid
     /// until a pop, a strictly-earlier schedule, or a cancel of that very
     /// event. Driver loops peek between every event; the memo makes the
-    /// repeat peeks free of backend work (stage refills, tombstone drains).
+    /// repeat peeks free of wheel work (stage refills, tombstone drains).
     peeked: Option<(SimTime, u64)>,
     ctx: SimCtx,
 }
@@ -421,27 +344,13 @@ impl<E> EventQueue<E> {
     }
 
     /// An empty queue streaming its counter updates (pops, cancels, depth
-    /// watermark) into `ctx`, backed per the context's
-    /// [`queue_backend`](SimCtx::queue_backend) selection.
+    /// watermark) into `ctx`.
     pub fn with_ctx(ctx: &SimCtx) -> Self {
-        Self::with_backend(ctx, ctx.queue_backend())
-    }
-
-    /// An empty queue with an explicit backend, overriding the context's
-    /// selection. Differential tests use this to run both backends
-    /// against one workload.
-    pub fn with_backend(ctx: &SimCtx, backend: QueueBackend) -> Self {
         EventQueue {
-            backend: match backend {
-                QueueBackend::BinaryHeap => Backend::Heap(BinaryHeap::new()),
-                QueueBackend::TimerWheel => Backend::Wheel(TimerWheel::new()),
-            },
+            wheel: TimerWheel::new(),
             cancelled: U64Set::new(),
             next_seq: 0,
             live: 0,
-            popped: 0,
-            cancelled_total: 0,
-            peak_live: 0,
             peeked: None,
             ctx: ctx.clone(),
         }
@@ -457,23 +366,20 @@ impl<E> EventQueue<E> {
         if self.peeked.is_some_and(|(t, _)| at < t) {
             self.peeked = None;
         }
-        self.backend.push(at, seq, payload);
+        self.wheel.push(Entry { at, seq, payload });
         self.live += 1;
-        self.peak_live = self.peak_live.max(self.live);
-        self.ctx.record_depth(self.live);
+        self.ctx.raise(Counter::PeakQueueDepth, self.live as u64);
         EventId(seq)
     }
 
-    /// Cancel a previously scheduled event. Returns true if the event was
-    /// still pending (false if it already fired or was already cancelled).
+    /// Cancel a previously scheduled event. Returns false for an id this
+    /// queue never issued or one already cancelled, and true otherwise.
+    ///
+    /// The queue does not track which ids have fired, so cancelling an
+    /// event that already fired also returns true: it plants a tombstone
+    /// that never matches, decrements [`Self::len`] and counts as a
+    /// cancel. Callers cancel only events they know are pending.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        // An id is pending iff it was issued, hasn't popped, and isn't
-        // already in the tombstone set. We can't check "hasn't popped"
-        // cheaply, so we record the tombstone and let `pop` reconcile;
-        // `live` is only decremented when the tombstone actually kills a
-        // pending entry, which we detect by insertion success + a sweep on
-        // pop. To keep `live` exact we instead check insertion and trust the
-        // caller not to cancel twice; double-cancels return false.
         if id.0 >= self.next_seq {
             return false;
         }
@@ -481,11 +387,9 @@ impl<E> EventQueue<E> {
             self.peeked = None;
         }
         if self.cancelled.insert(id.0) {
-            if self.live > 0 {
-                self.live -= 1;
-            }
-            self.cancelled_total += 1;
-            self.ctx.record_cancel();
+            // Clamped: cancels of fired ids can outnumber pending events.
+            self.live = self.live.saturating_sub(1);
+            self.ctx.bump(Counter::EventsCancelled);
             true
         } else {
             false
@@ -495,7 +399,7 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest live event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.peeked = None;
-        while let Some((at, seq, payload)) = self.backend.pop_front() {
+        while let Some(Entry { at, seq, payload }) = self.wheel.pop_front() {
             if self.cancelled.remove(seq) {
                 continue; // tombstoned
             }
@@ -503,8 +407,7 @@ impl<E> EventQueue<E> {
             // an already-popped id spuriously decrements `live`, and the
             // surviving events must still pop without underflow.
             self.live = self.live.saturating_sub(1);
-            self.popped += 1;
-            self.ctx.record_pop();
+            self.ctx.bump(Counter::EventsPopped);
             return Some((at, payload));
         }
         None
@@ -516,9 +419,9 @@ impl<E> EventQueue<E> {
             return Some(at);
         }
         // Drain tombstones off the top so peek is accurate.
-        while let Some((at, seq)) = self.backend.peek_front() {
+        while let Some((at, seq)) = self.wheel.peek_front() {
             if self.cancelled.contains(seq) {
-                self.backend.pop_front();
+                self.wheel.pop_front();
                 self.cancelled.remove(seq);
             } else {
                 self.peeked = Some((at, seq));
@@ -536,21 +439,6 @@ impl<E> EventQueue<E> {
     /// True if no live events remain.
     pub fn is_empty(&self) -> bool {
         self.live == 0
-    }
-
-    /// Total events popped over the queue's lifetime.
-    pub fn popped(&self) -> u64 {
-        self.popped
-    }
-
-    /// Total successful cancellations over the queue's lifetime.
-    pub fn cancelled_count(&self) -> u64 {
-        self.cancelled_total
-    }
-
-    /// Highest number of simultaneously live events ever observed.
-    pub fn peak_len(&self) -> usize {
-        self.peak_live
     }
 }
 
@@ -606,13 +494,14 @@ mod tests {
     }
 
     #[test]
-    fn cancel_after_pop_returns_false_eventually() {
+    fn cancel_after_pop_leaves_later_events_alone() {
         let mut q = EventQueue::new();
         let a = q.schedule(t(1), ());
         assert_eq!(q.pop(), Some((t(1), ())));
-        // The event already fired; cancelling marks a tombstone that will
-        // never match, but must not confuse later events.
-        q.cancel(a);
+        // The event already fired; the queue does not track that, so the
+        // cancel reports true and marks a tombstone that will never
+        // match — which must not confuse later events.
+        assert!(q.cancel(a));
         let b = q.schedule(t(2), ());
         assert!(b != a);
         assert_eq!(q.pop(), Some((t(2), ())));
@@ -692,51 +581,43 @@ mod tests {
         assert_eq!(q.len(), 0);
     }
 
-    fn for_both_backends(f: impl Fn(EventQueue<u64>)) {
-        for backend in [QueueBackend::TimerWheel, QueueBackend::BinaryHeap] {
-            f(EventQueue::with_backend(&SimCtx::new(), backend));
-        }
-    }
-
     #[test]
-    fn both_backends_pop_in_time_order() {
-        for_both_backends(|mut q| {
-            // Spans all wheel levels: sub-slot, same-level, and far-future
-            // timestamps, scheduled out of order.
-            let times = [
-                7u64,
-                1,
-                1_000,
-                1_023,
-                1_024,
-                65_536,
-                65_537,
-                4_194_304,
-                1 << 40,
-                (1 << 40) + 1,
-                u64::MAX,
-                0,
-                3_000_000_000,
-            ];
-            for (i, &ns) in times.iter().enumerate() {
-                q.schedule(SimTime::from_nanos(ns), i as u64);
-            }
-            let mut sorted = times;
-            sorted.sort();
-            for &ns in &sorted {
-                let (at, _) = q.pop().expect("event present");
-                assert_eq!(at, SimTime::from_nanos(ns));
-            }
-            assert_eq!(q.pop(), None);
-        });
+    fn pops_in_time_order_across_wheel_levels() {
+        let mut q = EventQueue::new();
+        // Spans all wheel levels: sub-slot, same-level, and far-future
+        // timestamps, scheduled out of order.
+        let times = [
+            7u64,
+            1,
+            1_000,
+            1_023,
+            1_024,
+            65_536,
+            65_537,
+            4_194_304,
+            1 << 40,
+            (1 << 40) + 1,
+            u64::MAX,
+            0,
+            3_000_000_000,
+        ];
+        for (i, &ns) in times.iter().enumerate() {
+            q.schedule(SimTime::from_nanos(ns), i as u64);
+        }
+        let mut sorted = times;
+        sorted.sort();
+        for &ns in &sorted {
+            let (at, _) = q.pop().expect("event present");
+            assert_eq!(at, SimTime::from_nanos(ns));
+        }
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn wheel_schedules_into_current_slot_after_pops() {
         // After the cursor has advanced, schedule events at, before, and
         // just after the cursor; all must still pop in (at, seq) order.
-        let ctx = SimCtx::new();
-        let mut q = EventQueue::with_backend(&ctx, QueueBackend::TimerWheel);
+        let mut q = EventQueue::new();
         q.schedule(SimTime::from_nanos(1 << 20), 0);
         assert_eq!(q.pop(), Some((SimTime::from_nanos(1 << 20), 0)));
         q.schedule(SimTime::from_nanos((1 << 20) + 10), 1);
@@ -754,8 +635,7 @@ mod tests {
     fn wheel_interleaves_pops_and_far_schedules() {
         // Repeatedly pop the front and schedule strictly later events so
         // the cursor jumps across level boundaries many times.
-        let ctx = SimCtx::new();
-        let mut q = EventQueue::with_backend(&ctx, QueueBackend::TimerWheel);
+        let mut q = EventQueue::new();
         let mut at = 1u64;
         q.schedule(SimTime::from_nanos(at), 0);
         for i in 1..200u64 {
@@ -767,16 +647,15 @@ mod tests {
     }
 
     #[test]
-    fn both_backends_equal_times_pop_fifo_after_advance() {
-        for_both_backends(|mut q| {
-            q.schedule(t(50), 0);
-            assert!(q.pop().is_some());
-            for i in 1..=64u64 {
-                q.schedule(t(70), i);
-            }
-            for i in 1..=64u64 {
-                assert_eq!(q.pop(), Some((t(70), i)));
-            }
-        });
+    fn equal_times_pop_fifo_after_advance() {
+        let mut q = EventQueue::new();
+        q.schedule(t(50), 0);
+        assert!(q.pop().is_some());
+        for i in 1..=64u64 {
+            q.schedule(t(70), i);
+        }
+        for i in 1..=64u64 {
+            assert_eq!(q.pop(), Some((t(70), i)));
+        }
     }
 }

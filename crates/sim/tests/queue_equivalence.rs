@@ -1,21 +1,73 @@
-//! Differential test: the timer-wheel backend must pop a byte-identical
-//! event order to the binary-heap reference on randomized workloads.
+//! Differential test: the timer-wheel `EventQueue` must pop a
+//! byte-identical event order to a binary-heap reference model on
+//! randomized workloads.
 //!
-//! The two backends share the `EventQueue` wrapper (sequence numbers,
-//! tombstone set, counters), so the only thing that can diverge is the
-//! order the backend surfaces entries in. This suite drives both with
-//! identical schedule/cancel/pop/peek interleavings — including
-//! equal-timestamp bursts, cancels of already-popped ids, double
-//! cancels, and timestamps spanning every wheel level — and requires the
-//! full observable transcript (pop results, peek times, cancel return
-//! values, lengths) to match exactly.
+//! The model below is the queue's contract written the obvious way:
+//! sequential ids, `(at, seq)` min-order, lazy tombstones, and a `len`
+//! that every successful cancel decrements. This suite drives the wheel
+//! and the model with identical schedule/cancel/pop/peek interleavings —
+//! including equal-timestamp bursts, cancels of already-popped ids,
+//! double cancels, and timestamps spanning every wheel level — and
+//! requires the full observable transcript (pop results, peek times,
+//! cancel return values, lengths) to match exactly.
 
-use mmwave_sim::ctx::SimCtx;
-use mmwave_sim::queue::{EventId, EventQueue, QueueBackend};
+use mmwave_sim::queue::{EventId, EventQueue};
 use mmwave_sim::rng::SimRng;
 use mmwave_sim::time::SimTime;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
 
-/// One observable step of queue behavior, recorded from each backend.
+/// Reference model: a min-heap of `(at, seq, payload)` with the same id,
+/// tombstone and `len` rules as `EventQueue`. Ids are sequence numbers.
+#[derive(Default)]
+struct HeapQueue {
+    heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+    tombstones: HashSet<u64>,
+    next_seq: u64,
+    live: usize,
+}
+
+impl HeapQueue {
+    fn schedule(&mut self, at: SimTime, payload: u64) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse((at, seq, payload)));
+        self.live += 1;
+        seq
+    }
+
+    /// Like the wheel, the model does not know which ids have fired: a
+    /// cancel of a fired id plants a dead tombstone and reports true.
+    fn cancel(&mut self, seq: u64) -> bool {
+        let fresh = seq < self.next_seq && self.tombstones.insert(seq);
+        if fresh {
+            self.live = self.live.saturating_sub(1);
+        }
+        fresh
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        while let Some(Reverse((at, seq, payload))) = self.heap.pop() {
+            if !self.tombstones.remove(&seq) {
+                self.live = self.live.saturating_sub(1);
+                return Some((at, payload));
+            }
+        }
+        None
+    }
+
+    fn peek_time(&mut self) -> Option<SimTime> {
+        while let Some(&Reverse((at, seq, _))) = self.heap.peek() {
+            if !self.tombstones.remove(&seq) {
+                return Some(at);
+            }
+            self.heap.pop();
+        }
+        None
+    }
+}
+
+/// One observable step of queue behavior, recorded from each side.
 #[derive(PartialEq, Eq, Debug)]
 enum Observation {
     Popped(Option<(SimTime, u64)>),
@@ -24,26 +76,34 @@ enum Observation {
     Len(usize),
 }
 
+/// Handle of a scheduled event: the model's sequence id, which is also
+/// the event's index in `Pair::ids`.
+type Handle = u64;
+
 struct Pair {
     wheel: EventQueue<u64>,
-    heap: EventQueue<u64>,
+    heap: HeapQueue,
+    /// Wheel ids in scheduling order.
+    ids: Vec<EventId>,
     transcript: usize,
 }
 
 impl Pair {
     fn new() -> Pair {
         Pair {
-            wheel: EventQueue::with_backend(&SimCtx::new(), QueueBackend::TimerWheel),
-            heap: EventQueue::with_backend(&SimCtx::new(), QueueBackend::BinaryHeap),
+            wheel: EventQueue::new(),
+            heap: HeapQueue::default(),
+            ids: Vec::new(),
             transcript: 0,
         }
     }
 
-    fn schedule(&mut self, at: SimTime, payload: u64) -> EventId {
-        let a = self.wheel.schedule(at, payload);
-        let b = self.heap.schedule(at, payload);
-        assert_eq!(a, b, "backends must issue identical ids");
-        a
+    fn schedule(&mut self, at: SimTime, payload: u64) -> Handle {
+        let id = self.wheel.schedule(at, payload);
+        let seq = self.heap.schedule(at, payload);
+        assert_eq!(format!("{id:?}"), format!("EventId({seq})"), "same ids");
+        self.ids.push(id);
+        seq
     }
 
     fn check(&mut self, a: Observation, b: Observation) {
@@ -64,15 +124,15 @@ impl Pair {
         self.check(a, b);
     }
 
-    fn cancel(&mut self, id: EventId) {
-        let a = Observation::Cancelled(self.wheel.cancel(id));
-        let b = Observation::Cancelled(self.heap.cancel(id));
+    fn cancel(&mut self, h: Handle) {
+        let a = Observation::Cancelled(self.wheel.cancel(self.ids[h as usize]));
+        let b = Observation::Cancelled(self.heap.cancel(h));
         self.check(a, b);
     }
 
     fn len(&mut self) {
         let a = Observation::Len(self.wheel.len());
-        let b = Observation::Len(self.heap.len());
+        let b = Observation::Len(self.heap.live);
         self.check(a, b);
     }
 
@@ -101,8 +161,8 @@ fn randomized_schedule_cancel_pop_interleavings_match() {
     for seed in 0..8u64 {
         let mut rng = SimRng::root(0xEE11_0000 + seed);
         let mut pair = Pair::new();
-        let mut live_ids: Vec<EventId> = Vec::new();
-        let mut dead_ids: Vec<EventId> = Vec::new();
+        let mut live_ids: Vec<Handle> = Vec::new();
+        let mut dead_ids: Vec<Handle> = Vec::new();
         let mut now = 0u64;
         let mut payload = 0u64;
         for _ in 0..4_000 {
@@ -163,7 +223,7 @@ fn randomized_schedule_cancel_pop_interleavings_match() {
 fn equal_timestamp_burst_with_cancels_matches() {
     let mut pair = Pair::new();
     let at = SimTime::from_micros(40);
-    let ids: Vec<EventId> = (0..256).map(|i| pair.schedule(at, i)).collect();
+    let ids: Vec<Handle> = (0..256).map(|i| pair.schedule(at, i)).collect();
     // Cancel every third, including after some pops.
     for id in ids.iter().step_by(3).take(40) {
         pair.cancel(*id);
@@ -180,14 +240,15 @@ fn equal_timestamp_burst_with_cancels_matches() {
 #[test]
 fn cancel_of_popped_ids_never_kills_later_events() {
     let mut pair = Pair::new();
-    let early: Vec<EventId> = (0..32)
+    let early: Vec<Handle> = (0..32)
         .map(|i| pair.schedule(SimTime::from_nanos(i), i))
         .collect();
     for _ in 0..32 {
         pair.pop();
     }
-    // All already fired: every cancel must report false on both backends
-    // and must not affect the events scheduled next.
+    // All already fired: neither side tracks that, so every cancel
+    // reports true (and shrinks `len`) on both — and must not affect the
+    // events scheduled next.
     for id in early {
         pair.cancel(id);
     }

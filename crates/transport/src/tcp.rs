@@ -19,6 +19,7 @@ use crate::cc::{self, CongestionAlg, ControlPattern, MeasurementReport};
 use crate::ethernet::RateLimiter;
 use mmwave_mac::MacMeasurement;
 use mmwave_sim::ctx::SimCtx;
+use mmwave_sim::metrics::Counter;
 use mmwave_sim::series::TimeSeries;
 use mmwave_sim::time::{SimDuration, SimTime};
 use std::collections::BTreeSet;
@@ -308,7 +309,7 @@ impl TcpFlow {
     /// Fold a measurement into the congestion algorithm and install the
     /// resulting control pattern.
     fn fold(&mut self, report: MeasurementReport) {
-        self.ctx.record_cc_report();
+        self.ctx.bump(Counter::CcReportsFolded);
         let pattern = self.alg.on_report(&report);
         self.apply(pattern);
     }
@@ -330,7 +331,7 @@ impl TcpFlow {
             self.ctl_rate_bps = Some(rate);
         }
         if installed {
-            self.ctx.record_cc_pattern();
+            self.ctx.bump(Counter::CcPatternsInstalled);
         }
     }
 
@@ -697,7 +698,7 @@ impl TcpFlow {
                 // Fast retransmit / recovery.
                 self.stats.fast_retransmits += 1;
                 self.stats.loss_epochs += 1;
-                self.ctx.record_cc_loss_epoch();
+                self.ctx.bump(Counter::CcLossEpochs);
                 let flight = (self.snd_nxt - self.snd_una) as f64;
                 self.in_recovery = true;
                 self.recovery_end = self.snd_nxt;
@@ -720,7 +721,7 @@ impl TcpFlow {
         // resets when an ACK advances).
         if self.rto_backoff == 0 {
             self.stats.loss_epochs += 1;
-            self.ctx.record_cc_loss_epoch();
+            self.ctx.bump(Counter::CcLossEpochs);
         }
         let flight = (self.snd_nxt - self.snd_una).max(1) as f64;
         self.in_recovery = false;

@@ -18,10 +18,11 @@ cargo build --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> queue backend equivalence suite"
+echo "==> event-queue equivalence suite"
 # The timer-wheel scheduler must be indistinguishable from the
-# reference BinaryHeap: identical pop sequences and counters under
-# randomized schedule/cancel/pop scripts.
+# test-local binary-heap reference model: identical pop sequences,
+# peeks, cancel results and lengths under randomized
+# schedule/cancel/pop scripts.
 cargo test -q --release -p mmwave-sim --test queue_equivalence
 
 echo "==> image-tree equivalence suite"
@@ -56,7 +57,6 @@ echo "==> SoA kernel equivalence suites"
 cargo test -q --release -p mmwave-phy --test basis_equivalence
 cargo test -q --release -p mmwave-phy --test soa_equivalence
 cargo test -q --release -p mmwave-capture --test properties
-cargo test -q --release -p mmwave-geom --test image_tree_equivalence
 
 echo "==> cargo fmt --check"
 cargo fmt --check
