@@ -41,9 +41,6 @@
 //!   and decoded through [`EngineCounters::FIELDS`] so the wire
 //!   marshalling cannot drift from the schema)
 
-use std::io;
-use std::path::{Path, PathBuf};
-
 use crate::json::Json;
 use crate::{CampaignResult, RunRecord, RunStatus};
 use mmwave_sim::metrics::EngineCounters;
@@ -294,19 +291,6 @@ pub fn canonical_document(result: &CampaignResult) -> String {
         doc.push('\n');
     }
     doc
-}
-
-/// Write `manifest.json` plus every per-run report under `out`.
-/// Returns the manifest path.
-pub fn write_artifacts(result: &CampaignResult, out: &Path) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(out.join("runs"))?;
-    for r in &result.records {
-        let path = out.join(run_artifact_name(&r.experiment, r.seed));
-        std::fs::write(path, run_to_json(r).render())?;
-    }
-    let manifest_path = out.join("manifest.json");
-    std::fs::write(&manifest_path, manifest_to_json(result).render())?;
-    Ok(manifest_path)
 }
 
 #[cfg(test)]

@@ -9,8 +9,7 @@
 //!
 //! * `--jobs N`    worker threads (default: one per core)
 //! * `--workers N` shard across N `campaign worker` subprocesses instead
-//!   of in-process threads (requires `--out`; artifact bytes are
-//!   identical either way)
+//!   of in-process threads (artifact bytes are identical either way)
 //! * `--resume`    skip tasks whose artifact chunk already exists and
 //!   hashes clean against `<out>/campaign.manifest` (requires `--out`)
 //! * `--seeds A..B` half-open seed range (`--seeds 1..5` = seeds 1,2,3,4);
@@ -36,7 +35,7 @@
 //! usage errors.
 
 use mmwave_campaign::control::{self, ControlOpts};
-use mmwave_campaign::{artifact, runner, worker, CampaignConfig};
+use mmwave_campaign::{artifact, worker, CampaignConfig};
 use mmwave_core::experiments::{self, Experiment};
 
 struct Cli {
@@ -129,6 +128,9 @@ fn parse_args() -> Result<Cli, String> {
             id => cli.ids.push(id.to_string()),
         }
     }
+    if cli.resume && cli.out_dir.is_none() {
+        return Err("--resume needs --out (the manifest lives there)".into());
+    }
     Ok(cli)
 }
 
@@ -181,39 +183,34 @@ fn main() {
         cc: cli.cc,
         prune: cli.prune,
     };
-    let result = if let Some(dir) = &cli.out_dir {
-        // Artifact runs go through the streaming control plane: chunks +
-        // the resumable ledger land incrementally, and the datapath can
-        // be process-sharded.
-        let opts = ControlOpts {
-            workers: cli.workers,
-            resume: cli.resume,
-            worker_cmd: Vec::new(),
-        };
-        match control::run_streaming(&cfg, std::path::Path::new(dir), &opts) {
-            Ok(summary) => {
-                if cli.resume {
-                    eprintln!(
-                        "resumed {} hash-clean task(s), executed {}",
-                        summary.resumed.len(),
-                        summary.executed.len()
-                    );
-                }
-                eprintln!("wrote {}", summary.manifest_path.display());
-                summary.result
-            }
-            Err(e) => {
-                eprintln!("campaign failed under {dir}: {e}");
-                std::process::exit(2);
-            }
-        }
-    } else {
-        if cli.workers > 0 || cli.resume {
-            eprintln!("--workers/--resume need --out (the manifest lives there)");
+    let opts = ControlOpts {
+        workers: cli.workers,
+        resume: cli.resume,
+        ..ControlOpts::default()
+    };
+    let out = cli.out_dir.as_deref().map(std::path::Path::new);
+    let summary = match control::run(&cfg, out, &opts) {
+        Ok(summary) => summary,
+        Err(e) => {
+            let under = cli
+                .out_dir
+                .map(|d| format!(" under {d}"))
+                .unwrap_or_default();
+            eprintln!("campaign failed{under}: {e}");
             std::process::exit(2);
         }
-        runner::run(&cfg)
     };
+    if cli.resume {
+        eprintln!(
+            "resumed {} hash-clean task(s), executed {}",
+            summary.resumed.len(),
+            summary.executed.len()
+        );
+    }
+    if let Some(path) = &summary.manifest_path {
+        eprintln!("wrote {}", path.display());
+    }
+    let result = summary.result;
 
     if cli.json {
         print!("{}", artifact::manifest_to_json(&result).render());

@@ -1,17 +1,17 @@
-//! The campaign control plane: streaming, process-sharded, resumable.
+//! The campaign control plane: the one campaign loop.
 //!
-//! [`run_streaming`] splits the old monolithic "run everything, then
-//! write everything" runner into two layers:
+//! [`run`] does the whole job of a campaign, in two layers:
 //!
 //! * **Control plane** (this module, in the parent process): plans the
 //!   task matrix, decides what a `--resume` can skip, streams tasks to
-//!   workers, and — the key structural change — appends each task's
-//!   artifact **chunk** (`runs/<id>-s<seed>.json`) plus a
-//!   [`crate::manifest`] ledger line the moment the task completes,
-//!   instead of buffering the whole campaign in memory.
+//!   workers, and merges the records back into matrix order. Given an
+//!   output directory it appends each task's artifact **chunk**
+//!   (`runs/<id>-s<seed>.json`) plus a [`crate::manifest`] ledger line
+//!   the moment the task completes, instead of buffering the whole
+//!   campaign; without one it does no I/O of its own.
 //! * **Worker datapath**: either the in-process thread pool
-//!   (`workers == 0`, reusing [`runner::ThreadPool`]) or `workers`
-//!   subprocesses (`campaign worker`) driven over stdio pipes with the
+//!   (`workers == 0`, `runner::ThreadPool`) or `workers` subprocesses
+//!   (`campaign worker`) driven over stdio pipes with the
 //!   [`crate::proto`] framing. Each task runs on a private `SimCtx`
 //!   either way, so artifact bytes are a pure function of the task — the
 //!   process-sharded-vs-in-process equivalence suite diffs the two
@@ -46,18 +46,19 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::manifest::{self, ChunkEntry, Manifest, ManifestWriter};
-use crate::proto::{self, Msg, WireTask};
+use crate::proto::{self, Msg};
 use crate::{artifact, runner, CampaignConfig, CampaignResult, RunRecord, RunStatus, TaskSpec};
 
-/// Execution knobs for the streaming control plane.
-#[derive(Clone, Debug)]
+/// Execution knobs for the control plane.
+#[derive(Clone, Debug, Default)]
 pub struct ControlOpts {
     /// Worker *processes* to shard across. `0` keeps the datapath
-    /// in-process (the `cfg.jobs` thread pool) while still streaming
-    /// chunks and maintaining the manifest.
+    /// in-process (the `cfg.jobs` thread pool). Sharding needs no output
+    /// directory: records come back over the pipes either way.
     pub workers: usize,
     /// Skip tasks whose chunk already exists and hashes clean against the
-    /// manifest (requires a matching matrix fingerprint).
+    /// manifest (requires a matching matrix fingerprint). Without an
+    /// output directory there is no manifest, so nothing is skipped.
     pub resume: bool,
     /// Command line that starts one worker process. Empty means "this
     /// executable with the single argument `worker`" — what the `campaign`
@@ -65,22 +66,13 @@ pub struct ControlOpts {
     pub worker_cmd: Vec<String>,
 }
 
-impl Default for ControlOpts {
-    fn default() -> Self {
-        ControlOpts {
-            workers: 0,
-            resume: false,
-            worker_cmd: Vec::new(),
-        }
-    }
-}
-
-/// What a streaming campaign did, beyond the [`CampaignResult`] itself.
+/// What a campaign did, beyond the [`CampaignResult`] itself.
 pub struct ControlSummary {
     /// Records in matrix order, resumed and executed merged.
     pub result: CampaignResult,
-    /// Path of the written `manifest.json`.
-    pub manifest_path: PathBuf,
+    /// Path of the written `manifest.json`; `None` without an output
+    /// directory.
+    pub manifest_path: Option<PathBuf>,
     /// `(experiment, seed)` cells skipped because their chunk verified
     /// hash-clean, in matrix order.
     pub resumed: Vec<(String, u64)>,
@@ -89,28 +81,126 @@ pub struct ControlSummary {
     pub executed: Vec<(String, u64)>,
 }
 
-/// Run the campaign through the streaming control plane. Blocks until
-/// every matrix cell has a record; artifacts land under `out` as the
-/// campaign progresses (chunks + `campaign.manifest`), with the summary
-/// `manifest.json` written last.
+/// A record tagged with its matrix cell `(exp_index, seed)`.
+type Keyed = ((usize, u64), RunRecord);
+
+/// Run the campaign. Blocks until every matrix cell has a record. With
+/// `out`, artifacts land under it as the campaign progresses (chunks +
+/// `campaign.manifest`), with the summary `manifest.json` written last;
+/// without it, the records come back in memory only.
+pub fn run(
+    cfg: &CampaignConfig,
+    out: Option<&Path>,
+    opts: &ControlOpts,
+) -> io::Result<ControlSummary> {
+    let t0 = Instant::now();
+    let tasks = cfg.tasks();
+    let (resumed, pending, mut ledger) = match out {
+        Some(out) => {
+            let (resumed, pending, ledger) = open_ledger(out, tasks, opts.resume)?;
+            (resumed, pending, Some((out, ledger)))
+        }
+        None => (Vec::new(), tasks, None),
+    };
+
+    let jobs = cfg.effective_jobs().min(pending.len()).max(1);
+    let expected = pending.len();
+    let mut executed: Vec<Keyed> = Vec::with_capacity(expected);
+    let mut chunks_streamed: u64 = 0;
+
+    // Dispatch the pending tasks, streaming each completed record into
+    // its chunk + ledger line as it arrives (invariant 1).
+    let pool = if opts.workers == 0 {
+        runner::ThreadPool::spawn(pending, jobs)
+    } else {
+        spawn_worker_procs(pending, opts)?
+    };
+    for (key, record) in pool.records.iter() {
+        if let Some((out, ledger)) = ledger.as_mut() {
+            let rel = artifact::run_artifact_name(&record.experiment, record.seed);
+            let chunk = artifact::run_to_json(&record).render();
+            std::fs::write(out.join(&rel), &chunk)?;
+            ledger.append(&ChunkEntry {
+                hash: manifest::fnv1a64(chunk.as_bytes()),
+                len: chunk.len() as u64,
+                experiment: record.experiment.clone(),
+                seed: record.seed,
+                rel_path: rel,
+            })?;
+            chunks_streamed += 1;
+        }
+        executed.push((key, record));
+    }
+    pool.join();
+    assert_eq!(
+        executed.len(),
+        expected,
+        "control plane lost records (dispatch bug)"
+    );
+
+    // Merge and re-sort into matrix order: scheduling, sharding and
+    // resume order are all invisible in the final artifact set.
+    let tasks_resumed = resumed.len() as u64;
+    let resumed_keys: Vec<(String, u64)> = sorted_keys(&resumed);
+    let executed_keys: Vec<(String, u64)> = sorted_keys(&executed);
+    let mut keyed = resumed;
+    keyed.extend(executed);
+    keyed.sort_by_key(|(key, _)| *key);
+
+    let result = CampaignResult {
+        records: keyed.into_iter().map(|(_, r)| r).collect(),
+        seeds: cfg.seeds.clone(),
+        quick: cfg.quick,
+        jobs,
+        workers: opts.workers,
+        tasks_resumed,
+        chunks_streamed,
+        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+    };
+    let manifest_path = match out {
+        Some(out) => {
+            let path = out.join("manifest.json");
+            std::fs::write(&path, artifact::manifest_to_json(&result).render())?;
+            Some(path)
+        }
+        None => None,
+    };
+    Ok(ControlSummary {
+        result,
+        manifest_path,
+        resumed: resumed_keys,
+        executed: executed_keys,
+    })
+}
+
+/// [`run`] with an output directory: chunks, ledger and `manifest.json`
+/// land under `out`.
 pub fn run_streaming(
     cfg: &CampaignConfig,
     out: &Path,
     opts: &ControlOpts,
 ) -> io::Result<ControlSummary> {
-    let t0 = Instant::now();
-    std::fs::create_dir_all(out.join("runs"))?;
+    run(cfg, Some(out), opts)
+}
 
-    let tasks = cfg.tasks();
+/// Prepare `out` for a campaign over `tasks`: split them into the records
+/// a resume can carry over and the tasks still to run, and rewrite the
+/// ledger with the carried entries.
+fn open_ledger(
+    out: &Path,
+    tasks: Vec<TaskSpec>,
+    resume: bool,
+) -> io::Result<(Vec<Keyed>, Vec<TaskSpec>, ManifestWriter)> {
+    std::fs::create_dir_all(out.join("runs"))?;
     let fp = manifest::fingerprint(&tasks);
 
     // Resume pass: a task is skippable iff the previous manifest matches
     // this matrix and its chunk verifies (invariant 2). Everything else
     // stays pending.
-    let mut resumed: Vec<((usize, u64), RunRecord)> = Vec::new();
+    let mut resumed: Vec<Keyed> = Vec::new();
     let mut carried: Vec<ChunkEntry> = Vec::new();
     let mut pending: Vec<TaskSpec> = Vec::new();
-    let previous = if opts.resume {
+    let previous = if resume {
         Manifest::load(out).filter(|m| m.fingerprint == fp)
     } else {
         None
@@ -142,99 +232,35 @@ pub fn run_streaming(
     // The manifest is rewritten (header + carried entries) rather than
     // appended to: stale lines, torn tails and superseded duplicates die
     // here, and every later append lands after a clean prefix.
-    let mut ledger = ManifestWriter::create(out, fp, &carried)?;
-
-    let jobs = cfg.effective_jobs().min(pending.len()).max(1);
-    let mut executed: Vec<((usize, u64), RunRecord)> = Vec::with_capacity(pending.len());
-    let expected = pending.len();
-    let mut chunks_streamed: u64 = 0;
-
-    // Dispatch the pending tasks, streaming each completed record into
-    // its chunk + ledger line as it arrives (invariant 1).
-    let mut stream_record =
-        |key: (usize, u64), record: RunRecord, ledger: &mut ManifestWriter| -> io::Result<()> {
-            let rel = artifact::run_artifact_name(&record.experiment, record.seed);
-            let chunk = artifact::run_to_json(&record).render();
-            std::fs::write(out.join(&rel), &chunk)?;
-            ledger.append(&ChunkEntry {
-                hash: manifest::fnv1a64(chunk.as_bytes()),
-                len: chunk.len() as u64,
-                experiment: record.experiment.clone(),
-                seed: record.seed,
-                rel_path: rel,
-            })?;
-            chunks_streamed += 1;
-            executed.push((key, record));
-            Ok(())
-        };
-
-    if opts.workers == 0 {
-        let pool = runner::ThreadPool::spawn(pending, jobs);
-        for (key, record) in pool.records.iter() {
-            stream_record(key, record, &mut ledger)?;
-        }
-        pool.join();
-    } else {
-        let (rec_tx, rec_rx) = mpsc::channel::<((usize, u64), RunRecord)>();
-        let queue = Arc::new(Mutex::new(plan_queue(pending)));
-        let worker_cmd = resolve_worker_cmd(&opts.worker_cmd)?;
-        let mut drivers = Vec::new();
-        for w in 0..opts.workers {
-            let queue = Arc::clone(&queue);
-            let tx = rec_tx.clone();
-            let cmd = worker_cmd.clone();
-            drivers.push(
-                std::thread::Builder::new()
-                    .name(format!("campaign-driver-{w}"))
-                    .spawn(move || drive_worker(&cmd, &queue, &tx))
-                    .expect("spawn worker driver"),
-            );
-        }
-        drop(rec_tx);
-        let mut received = 0usize;
-        for (key, record) in rec_rx.iter() {
-            stream_record(key, record, &mut ledger)?;
-            received += 1;
-        }
-        for d in drivers {
-            d.join().expect("worker driver must not panic");
-        }
-        assert_eq!(
-            received, expected,
-            "control plane lost records (driver bug)"
-        );
-    }
-
-    // Merge and re-sort into matrix order: scheduling, sharding and
-    // resume order are all invisible in the final artifact set.
-    let tasks_resumed = resumed.len() as u64;
-    let resumed_keys: Vec<(String, u64)> = sorted_keys(&resumed);
-    let executed_keys: Vec<(String, u64)> = sorted_keys(&executed);
-    let mut keyed = resumed;
-    keyed.extend(executed);
-    keyed.sort_by_key(|(key, _)| *key);
-
-    let result = CampaignResult {
-        records: keyed.into_iter().map(|(_, r)| r).collect(),
-        seeds: cfg.seeds.clone(),
-        quick: cfg.quick,
-        jobs,
-        workers: opts.workers,
-        tasks_resumed,
-        chunks_streamed,
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-    };
-    let manifest_path = out.join("manifest.json");
-    std::fs::write(&manifest_path, artifact::manifest_to_json(&result).render())?;
-    Ok(ControlSummary {
-        result,
-        manifest_path,
-        resumed: resumed_keys,
-        executed: executed_keys,
-    })
+    let ledger = ManifestWriter::create(out, fp, &carried)?;
+    Ok((resumed, pending, ledger))
 }
 
-fn sorted_keys(records: &[((usize, u64), RunRecord)]) -> Vec<(String, u64)> {
+/// Start one thread per worker process, each feeding its worker from a
+/// shared LPT-ordered queue of `pending`.
+fn spawn_worker_procs(
+    pending: Vec<TaskSpec>,
+    opts: &ControlOpts,
+) -> io::Result<runner::ThreadPool> {
+    let (rec_tx, records) = mpsc::channel::<Keyed>();
+    let queue = Arc::new(Mutex::new(plan_queue(pending)));
+    let worker_cmd = resolve_worker_cmd(&opts.worker_cmd)?;
+    let mut handles = Vec::with_capacity(opts.workers);
+    for w in 0..opts.workers {
+        let queue = Arc::clone(&queue);
+        let tx = rec_tx.clone();
+        let cmd = worker_cmd.clone();
+        handles.push(
+            std::thread::Builder::new()
+                .name(format!("campaign-dispatch-{w}"))
+                .spawn(move || drive_worker(&cmd, &queue, &tx))
+                .expect("spawn worker dispatch thread"),
+        );
+    }
+    Ok(runner::ThreadPool { records, handles })
+}
+
+fn sorted_keys(records: &[Keyed]) -> Vec<(String, u64)> {
     let mut keyed: Vec<_> = records.iter().collect();
     keyed.sort_by_key(|(key, _)| *key);
     keyed
@@ -243,11 +269,10 @@ fn sorted_keys(records: &[((usize, u64), RunRecord)]) -> Vec<(String, u64)> {
         .collect()
 }
 
-/// One queued dispatch: the wire form plus how often it already failed on
-/// a dying worker.
+/// One queued dispatch: the task plus how often it already failed on a
+/// dying worker.
 struct QueuedTask {
-    wire: WireTask,
-    key: (usize, u64),
+    task: TaskSpec,
     retries: u32,
 }
 
@@ -256,11 +281,7 @@ fn plan_queue(mut pending: Vec<TaskSpec>) -> VecDeque<QueuedTask> {
     pending.sort_by_key(|t| std::cmp::Reverse(t.exp.cost));
     pending
         .into_iter()
-        .map(|t| QueuedTask {
-            key: (t.exp_index, t.seed),
-            wire: WireTask::from_spec(&t),
-            retries: 0,
-        })
+        .map(|task| QueuedTask { task, retries: 0 })
         .collect()
 }
 
@@ -287,16 +308,13 @@ fn spawn_worker(cmd: &[String]) -> io::Result<Child> {
 /// in-flight task once and respawn the worker; a task that kills two
 /// workers is reported as a `panicked` record so the campaign still
 /// completes with a full matrix.
-fn drive_worker(
-    cmd: &[String],
-    queue: &Mutex<VecDeque<QueuedTask>>,
-    tx: &mpsc::Sender<((usize, u64), RunRecord)>,
-) {
+fn drive_worker(cmd: &[String], queue: &Mutex<VecDeque<QueuedTask>>, tx: &mpsc::Sender<Keyed>) {
     let mut worker: Option<(Child, BufReader<std::process::ChildStdout>)> = None;
     loop {
-        let Some(task) = queue.lock().expect("task queue lock").pop_front() else {
+        let Some(queued) = queue.lock().expect("task queue lock").pop_front() else {
             break;
         };
+        let task = queued.task;
         // (Re)spawn lazily: a driver that never gets a task never forks.
         if worker.is_none() {
             match spawn_worker(cmd) {
@@ -308,15 +326,15 @@ fn drive_worker(
                     // Cannot shard at all from this driver (bad worker
                     // command, fork limit): fail the task explicitly
                     // rather than stalling the campaign.
-                    report_failure(tx, task, &format!("cannot spawn worker: {e}"));
+                    report_failure(tx, &task, &format!("cannot spawn worker: {e}"));
                     continue;
                 }
             }
         }
         let (child, stdout) = worker.as_mut().expect("worker just ensured");
-        match exchange(child, stdout, &task.wire) {
+        match exchange(child, stdout, &task) {
             Ok(record) => {
-                if tx.send((task.key, record)).is_err() {
+                if tx.send(((task.exp_index, task.seed), record)).is_err() {
                     break; // collector gone; stop cleanly
                 }
             }
@@ -326,13 +344,13 @@ fn drive_worker(
                 let (mut child, _) = worker.take().expect("worker present");
                 let _ = child.kill();
                 let _ = child.wait();
-                if task.retries == 0 {
+                if queued.retries == 0 {
                     queue
                         .lock()
                         .expect("task queue lock")
-                        .push_back(QueuedTask { retries: 1, ..task });
+                        .push_back(QueuedTask { task, retries: 1 });
                 } else {
-                    report_failure(tx, task, &format!("worker protocol failure: {e}"));
+                    report_failure(tx, &task, &format!("worker protocol failure: {e}"));
                 }
             }
         }
@@ -351,13 +369,13 @@ fn drive_worker(
 fn exchange(
     child: &mut Child,
     stdout: &mut BufReader<std::process::ChildStdout>,
-    wire: &WireTask,
+    task: &TaskSpec,
 ) -> io::Result<RunRecord> {
     let stdin = child
         .stdin
         .as_mut()
         .ok_or_else(|| io::Error::other("worker stdin closed"))?;
-    proto::write_msg(stdin, &Msg::Task(wire.clone()))?;
+    proto::write_msg(stdin, &Msg::Task(*task))?;
     match proto::read_msg(stdout)? {
         Some(Msg::Result(record)) => Ok(*record),
         Some(other) => Err(io::Error::other(format!("expected RESULT, got {other:?}"))),
@@ -369,17 +387,13 @@ fn exchange(
 /// an experiment panic — status `panicked`, message in `panic_message` —
 /// because that is exactly what it is from the campaign's perspective:
 /// one cell failed, the matrix completed.
-fn report_failure(tx: &mpsc::Sender<((usize, u64), RunRecord)>, task: QueuedTask, message: &str) {
-    let (scenario, title) = match task.wire.resolve() {
-        Ok(spec) => (spec.exp.scenario.to_string(), spec.exp.title.to_string()),
-        Err(_) => ("unknown".to_string(), task.wire.experiment.clone()),
-    };
+fn report_failure(tx: &mpsc::Sender<Keyed>, task: &TaskSpec, message: &str) {
     let record = RunRecord {
-        experiment: task.wire.experiment.clone(),
-        title,
-        seed: task.wire.seed,
-        quick: task.wire.quick,
-        scenario,
+        experiment: task.exp.id.to_string(),
+        title: task.exp.title.to_string(),
+        seed: task.seed,
+        quick: task.quick,
+        scenario: task.exp.scenario.to_string(),
         status: RunStatus::Panicked,
         violations: Vec::new(),
         output: String::new(),
@@ -387,5 +401,5 @@ fn report_failure(tx: &mpsc::Sender<((usize, u64), RunRecord)>, task: QueuedTask
         wall_ms: 0.0,
         engine: Default::default(),
     };
-    let _ = tx.send((task.key, record));
+    let _ = tx.send(((task.exp_index, task.seed), record));
 }

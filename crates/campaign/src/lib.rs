@@ -8,17 +8,16 @@
 //! * **Matrix** — a [`CampaignConfig`] selects experiments from the typed
 //!   registry ([`mmwave_core::experiments::REGISTRY`]), a seed list, and a
 //!   quick/full mode; the cross product is the task matrix.
-//! * **Sharding** — [`runner::run`] shards the matrix across a
-//!   `std::thread` worker pool. Tasks flow through an mpsc channel that
-//!   idle workers pull from (channel-based work stealing), with the
-//!   heaviest cost tier dispatched first so the pool drains evenly.
-//! * **Control plane / worker datapath** — [`control::run_streaming`]
-//!   is the production entry point: it streams tasks to workers (the
-//!   in-process pool, or `campaign worker` subprocesses speaking the
-//!   [`proto`] stdio framing), appends each completed artifact chunk
-//!   incrementally, and maintains a resumable ledger ([`manifest`]) of
-//!   per-chunk hashes so an interrupted campaign can `--resume` past
-//!   every hash-clean task.
+//! * **One loop** — [`control::run`] is the only campaign loop. It plans
+//!   the matrix, dispatches it to a `std::thread` pool (tasks flow through
+//!   an mpsc channel that idle workers pull from, heaviest cost tier
+//!   first) or to `campaign worker` subprocesses speaking the [`proto`]
+//!   stdio framing, and merges the records back into matrix order. Given
+//!   an output directory it also streams each completed artifact chunk to
+//!   disk and keeps a resumable ledger ([`manifest`]) of per-chunk hashes,
+//!   so an interrupted campaign can `--resume` past every hash-clean task.
+//!   [`runner::run`] and [`control::run_streaming`] are one-line calls
+//!   into it.
 //! * **Determinism** — results are bitwise identical for any worker count
 //!   and any scheduling order: each task's randomness is a pure function
 //!   of `(experiment id, seed)` (experiments fork labelled `SimRng`
@@ -28,7 +27,7 @@
 //!   `catch_unwind`, reported as a failed [`RunRecord`], and the campaign
 //!   keeps going; partial failure surfaces as a nonzero exit from the
 //!   CLI, not an abort.
-//! * **Artifacts** — [`artifact`] writes a campaign manifest plus one
+//! * **Artifacts** — [`artifact`] encodes a campaign manifest plus one
 //!   structured JSON report per run ([`json`] is a std-only
 //!   encoder/decoder), including wall time and the engine's scheduler
 //!   counters (events popped/cancelled, peak queue depth) read from the
@@ -63,7 +62,6 @@ pub mod runner;
 pub mod worker;
 
 use mmwave_core::experiments::Experiment;
-use mmwave_sim::ctx::CacheMode;
 use mmwave_sim::metrics::EngineCounters;
 
 /// What to run: the experiment × seed matrix plus execution knobs.
@@ -109,7 +107,6 @@ impl CampaignConfig {
                     exp_index,
                     seed,
                     quick: self.quick,
-                    cache_mode: CacheMode::Cached,
                     cc: self.cc,
                     prune: self.prune,
                 });
@@ -130,8 +127,10 @@ impl CampaignConfig {
     }
 }
 
-/// One cell of the campaign matrix.
-#[derive(Clone, Copy)]
+/// One cell of the campaign matrix, and its wire form: a `TASK` frame
+/// ([`proto`]) carries the experiment by registry id plus the other
+/// fields as they are.
+#[derive(Clone, Copy, Debug)]
 pub struct TaskSpec {
     /// The experiment descriptor to run.
     pub exp: &'static Experiment,
@@ -141,10 +140,6 @@ pub struct TaskSpec {
     pub seed: u64,
     /// Quick mode flag.
     pub quick: bool,
-    /// Link-gain cache policy for this task's [`mmwave_sim::ctx::SimCtx`].
-    /// `Cached` for production campaigns; equivalence suites run the same
-    /// matrix under `Bypass` to prove caching never changes a byte.
-    pub cache_mode: CacheMode,
     /// Congestion-control override installed on the task's context before
     /// the experiment runs.
     pub cc: Option<mmwave_transport::CcKind>,
@@ -242,8 +237,8 @@ pub struct CampaignResult {
     /// Tasks skipped by `--resume` because their chunk verified hash-clean
     /// against the manifest (execution metadata).
     pub tasks_resumed: u64,
-    /// Chunks written incrementally by the streaming control plane; 0 for
-    /// the buffered [`runner::run`] path (execution metadata).
+    /// Chunks written incrementally by the control plane; 0 for a campaign
+    /// run without an output directory (execution metadata).
     pub chunks_streamed: u64,
     /// Total campaign wall time in milliseconds (execution metadata).
     pub wall_ms: f64,

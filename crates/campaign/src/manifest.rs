@@ -10,7 +10,7 @@
 //! ```
 //!
 //! * The header's `fp` is the [`fingerprint`] of the planned task matrix
-//!   (experiment ids, seeds, quick flag, per-task cache/cc/prune). A
+//!   (experiment ids, seeds, quick flag, per-task cc/prune overrides). A
 //!   `--resume` against a manifest whose fingerprint differs starts
 //!   fresh — the old chunks describe a different campaign.
 //! * Each `chunk` line records the FNV-1a 64 hash and byte length of one
@@ -29,7 +29,7 @@
 //! provably already present.
 
 use std::io::{self, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::TaskSpec;
 
@@ -65,8 +65,6 @@ pub fn fingerprint(tasks: &[TaskSpec]) -> u64 {
         desc.push_str(&t.seed.to_string());
         desc.push(' ');
         desc.push_str(if t.quick { "quick" } else { "full" });
-        desc.push(' ');
-        desc.push_str(t.cache_mode.as_str());
         desc.push(' ');
         desc.push_str(t.cc.map_or("default", |c| c.as_str()));
         desc.push(' ');
@@ -201,7 +199,6 @@ impl Manifest {
 /// tail` — exactly what [`Manifest::load`] tolerates.
 pub struct ManifestWriter {
     file: BufWriter<std::fs::File>,
-    path: PathBuf,
 }
 
 impl ManifestWriter {
@@ -210,14 +207,13 @@ impl ManifestWriter {
     /// stale lines (corrupt chunks, torn tails, superseded duplicates)
     /// instead of appending after garbage.
     pub fn create(out: &Path, fingerprint: u64, carried: &[ChunkEntry]) -> io::Result<Self> {
-        let path = out.join(MANIFEST_FILE_NAME);
-        let mut file = BufWriter::new(std::fs::File::create(&path)?);
+        let mut file = BufWriter::new(std::fs::File::create(out.join(MANIFEST_FILE_NAME))?);
         write!(file, "{MANIFEST_FILE_SCHEMA} fp {fingerprint:016x}\n")?;
         for e in carried {
             file.write_all(e.render().as_bytes())?;
         }
         file.flush()?;
-        Ok(ManifestWriter { file, path })
+        Ok(ManifestWriter { file })
     }
 
     /// Append one completed chunk and flush, so the entry survives the
@@ -227,16 +223,12 @@ impl ManifestWriter {
         self.file.write_all(entry.render().as_bytes())?;
         self.file.flush()
     }
-
-    /// The manifest file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn entry(seed: u64) -> ChunkEntry {
         ChunkEntry {
@@ -357,13 +349,11 @@ mod tests {
     #[test]
     fn fingerprint_tracks_matrix_identity() {
         use mmwave_core::experiments;
-        use mmwave_sim::ctx::CacheMode;
         let task = |id: &str, seed| TaskSpec {
             exp: experiments::find(id).expect("registered"),
             exp_index: 0,
             seed,
             quick: true,
-            cache_mode: CacheMode::Cached,
             cc: None,
             prune: None,
         };
@@ -378,8 +368,8 @@ mod tests {
         let mut full = [task("table1", 1), task("fig03", 2)];
         full[0].quick = false;
         assert_ne!(a, fingerprint(&full));
-        let mut bypass = [task("table1", 1), task("fig03", 2)];
-        bypass[1].cache_mode = CacheMode::Bypass;
-        assert_ne!(a, fingerprint(&bypass));
+        let mut audit = [task("table1", 1), task("fig03", 2)];
+        audit[1].prune = Some(mmwave_channel::PruneMode::Audit);
+        assert_ne!(a, fingerprint(&audit));
     }
 }

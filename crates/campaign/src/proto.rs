@@ -18,132 +18,88 @@
 //! The explicit length makes framing independent of payload content
 //! (rendered JSON contains newlines), and the trailing newline after the
 //! payload is a cheap tear detector: if it is missing, the peer died
-//! mid-write and the stream is declared broken rather than resynced. A
-//! header length above `MAX_FRAME_LEN` is refused as `InvalidData`
-//! before anything is allocated for it.
+//! mid-write and the stream is declared broken rather than resynced. The
+//! header line is read through a `MAX_HEADER_LEN` cap and a header length
+//! above `MAX_FRAME_LEN` is refused, both as `InvalidData`, so no peer
+//! can make the reader buffer more than one legal frame.
 //!
-//! Determinism: a `TASK` payload carries exactly the fields of
-//! [`TaskSpec`] that define artifact bytes (experiment id, matrix index,
-//! seed, quick, cache/cc/prune modes) — nothing about scheduling — so a
-//! task executes identically in-process and in any worker process.
+//! Determinism: a `TASK` payload is a [`TaskSpec`] — the experiment by
+//! registry id, resolved against the reader's own registry when the
+//! frame is decoded, plus the matrix index, seed, quick flag and the
+//! cc/prune overrides. Nothing about scheduling travels, so a task
+//! executes identically in-process and in any worker process.
 //!
 //! [`EngineCounters::FIELDS`]: mmwave_sim::metrics::EngineCounters::FIELDS
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 use crate::json::Json;
 use crate::{artifact, RunRecord, TaskSpec};
-use mmwave_sim::ctx::CacheMode;
 
 /// A framed protocol message.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub enum Msg {
     /// Control → worker: execute this task.
-    Task(WireTask),
+    Task(TaskSpec),
     /// Worker → control: the finished record (payload = chunk bytes).
     Result(Box<RunRecord>),
     /// Control → worker: no more tasks; exit cleanly.
     Done,
 }
 
-/// The process-portable form of a [`TaskSpec`]: the experiment travels by
-/// registry id and is re-resolved in the worker, everything else is the
-/// plain matrix cell.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WireTask {
-    pub experiment: String,
-    pub exp_index: usize,
-    pub seed: u64,
-    pub quick: bool,
-    pub cache_mode: CacheMode,
-    pub cc: Option<mmwave_transport::CcKind>,
-    pub prune: Option<mmwave_channel::PruneMode>,
+fn task_to_json(t: &TaskSpec) -> Json {
+    let opt = |s: Option<&'static str>| s.map_or(Json::Null, |v| Json::Str(v.into()));
+    Json::Obj(vec![
+        ("experiment".into(), Json::Str(t.exp.id.into())),
+        ("exp_index".into(), Json::Int(t.exp_index as u64)),
+        ("seed".into(), Json::Int(t.seed)),
+        ("quick".into(), Json::Bool(t.quick)),
+        ("cc".into(), opt(t.cc.map(|c| c.as_str()))),
+        ("prune".into(), opt(t.prune.map(|p| p.as_str()))),
+    ])
 }
 
-impl WireTask {
-    /// Capture a [`TaskSpec`] for the wire.
-    pub fn from_spec(t: &TaskSpec) -> WireTask {
-        WireTask {
-            experiment: t.exp.id.to_string(),
-            exp_index: t.exp_index,
-            seed: t.seed,
-            quick: t.quick,
-            cache_mode: t.cache_mode,
-            cc: t.cc,
-            prune: t.prune,
+/// Decode a `TASK` payload, resolving the experiment id against this
+/// process's registry. An id the registry does not know (version skew
+/// between control plane and worker) fails the frame.
+fn task_from_json(v: &Json) -> Result<TaskSpec, String> {
+    let field = |k: &str| v.get(k).ok_or_else(|| format!("missing field '{k}'"));
+    let opt_str = |k: &str| -> Result<Option<&str>, String> {
+        match field(k)? {
+            Json::Null => Ok(None),
+            Json::Str(s) => Ok(Some(s)),
+            _ => Err(format!("{k} must be null or a string")),
         }
-    }
-
-    /// Re-resolve into an executable [`TaskSpec`] against this process's
-    /// experiment registry. Errors if the control plane named an
-    /// experiment this worker binary does not know (version skew).
-    pub fn resolve(&self) -> Result<TaskSpec, String> {
-        let exp = mmwave_core::experiments::find(&self.experiment)
-            .ok_or_else(|| format!("unknown experiment id '{}'", self.experiment))?;
-        Ok(TaskSpec {
-            exp,
-            exp_index: self.exp_index,
-            seed: self.seed,
-            quick: self.quick,
-            cache_mode: self.cache_mode,
-            cc: self.cc,
-            prune: self.prune,
-        })
-    }
-
-    fn to_json(&self) -> Json {
-        let opt = |s: Option<&'static str>| s.map_or(Json::Null, |v| Json::Str(v.into()));
-        Json::Obj(vec![
-            ("experiment".into(), Json::Str(self.experiment.clone())),
-            ("exp_index".into(), Json::Int(self.exp_index as u64)),
-            ("seed".into(), Json::Int(self.seed)),
-            ("quick".into(), Json::Bool(self.quick)),
-            (
-                "cache_mode".into(),
-                Json::Str(self.cache_mode.as_str().into()),
-            ),
-            ("cc".into(), opt(self.cc.map(|c| c.as_str()))),
-            ("prune".into(), opt(self.prune.map(|p| p.as_str()))),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<WireTask, String> {
-        let field = |k: &str| v.get(k).ok_or_else(|| format!("missing field '{k}'"));
-        let opt_str = |k: &str| -> Result<Option<&str>, String> {
-            match field(k)? {
-                Json::Null => Ok(None),
-                Json::Str(s) => Ok(Some(s)),
-                _ => Err(format!("{k} must be null or a string")),
-            }
-        };
-        Ok(WireTask {
-            experiment: field("experiment")?
-                .as_str()
-                .ok_or("experiment must be a string")?
-                .into(),
-            exp_index: field("exp_index")?
-                .as_u64()
-                .ok_or("exp_index must be an integer")? as usize,
-            seed: field("seed")?.as_u64().ok_or("seed must be an integer")?,
-            quick: field("quick")?.as_bool().ok_or("quick must be a bool")?,
-            cache_mode: field("cache_mode")?
-                .as_str()
-                .and_then(CacheMode::from_str)
-                .ok_or("cache_mode must be cached|bypass")?,
-            cc: opt_str("cc")?
-                .map(|s| {
-                    mmwave_transport::CcKind::from_str(s).ok_or_else(|| format!("unknown cc '{s}'"))
-                })
-                .transpose()?,
-            prune: opt_str("prune")?
-                .map(|s| {
-                    mmwave_channel::PruneMode::from_str(s)
-                        .ok_or_else(|| format!("unknown prune mode '{s}'"))
-                })
-                .transpose()?,
-        })
-    }
+    };
+    let id = field("experiment")?
+        .as_str()
+        .ok_or("experiment must be a string")?;
+    Ok(TaskSpec {
+        exp: mmwave_core::experiments::find(id)
+            .ok_or_else(|| format!("unknown experiment id '{id}'"))?,
+        exp_index: field("exp_index")?
+            .as_u64()
+            .ok_or("exp_index must be an integer")? as usize,
+        seed: field("seed")?.as_u64().ok_or("seed must be an integer")?,
+        quick: field("quick")?.as_bool().ok_or("quick must be a bool")?,
+        cc: opt_str("cc")?
+            .map(|s| {
+                mmwave_transport::CcKind::from_str(s).ok_or_else(|| format!("unknown cc '{s}'"))
+            })
+            .transpose()?,
+        prune: opt_str("prune")?
+            .map(|s| {
+                mmwave_channel::PruneMode::from_str(s)
+                    .ok_or_else(|| format!("unknown prune mode '{s}'"))
+            })
+            .transpose()?,
+    })
 }
+
+/// Longest header line [`read_msg`] reads. The longest legal header,
+/// `RESULT <MAX_FRAME_LEN>\n`, is 16 bytes; the cap bounds what a peer
+/// that never sends a newline can make the reader buffer.
+const MAX_HEADER_LEN: u64 = 64;
 
 /// Largest payload [`read_msg`] accepts. The length comes from the peer's
 /// header, so it is bounded before anything is allocated for it: a corrupt
@@ -162,7 +118,7 @@ fn tag(msg: &Msg) -> &'static str {
 
 fn payload(msg: &Msg) -> String {
     match msg {
-        Msg::Task(t) => t.to_json().render(),
+        Msg::Task(t) => task_to_json(t).render(),
         // RESULT payloads are rendered by the artifact codec, so the bytes
         // a worker ships are byte-for-byte the chunk the control plane
         // appends to disk.
@@ -189,11 +145,16 @@ pub fn write_msg(w: &mut impl Write, msg: &Msg) -> io::Result<()> {
 /// mid-message).
 pub fn read_msg(r: &mut impl BufRead) -> io::Result<Option<Msg>> {
     let mut header = String::new();
-    if r.read_line(&mut header)? == 0 {
+    if r.by_ref().take(MAX_HEADER_LEN).read_line(&mut header)? == 0 {
         return Ok(None);
     }
     if !header.ends_with('\n') {
-        return Err(bad_data("protocol header", "torn header line (peer died)"));
+        let why = if header.len() as u64 == MAX_HEADER_LEN {
+            "no newline within the header cap"
+        } else {
+            "torn header line (peer died)"
+        };
+        return Err(bad_data("protocol header", why));
     }
     let mut parts = header.split_whitespace();
     let (Some(tag), Some(len), None) = (parts.next(), parts.next(), parts.next()) else {
@@ -221,7 +182,7 @@ pub fn read_msg(r: &mut impl BufRead) -> io::Result<Option<Msg>> {
     let parsed = |context: &str| Json::parse(&body).map_err(|e| bad_data(context, e));
     match tag {
         "TASK" => Ok(Some(Msg::Task(
-            WireTask::from_json(&parsed("TASK payload")?).map_err(|e| bad_data("TASK", e))?,
+            task_from_json(&parsed("TASK payload")?).map_err(|e| bad_data("TASK", e))?,
         ))),
         "RESULT" => Ok(Some(Msg::Result(Box::new(
             artifact::run_from_json(&parsed("RESULT payload")?)
@@ -239,15 +200,15 @@ pub fn read_msg(r: &mut impl BufRead) -> io::Result<Option<Msg>> {
 mod tests {
     use super::*;
     use mmwave_sim::metrics::EngineCounters;
+    use mmwave_sim::rng::SimRng;
     use std::io::BufReader;
 
-    fn wire_task() -> WireTask {
-        WireTask {
-            experiment: "table1".into(),
+    fn task() -> TaskSpec {
+        TaskSpec {
+            exp: mmwave_core::experiments::find("table1").expect("registered"),
             exp_index: 3,
             seed: 17,
             quick: true,
-            cache_mode: CacheMode::Bypass,
             cc: Some(mmwave_transport::CcKind::Cubic),
             prune: Some(mmwave_channel::PruneMode::Audit),
         }
@@ -273,18 +234,31 @@ mod tests {
         }
     }
 
+    /// The framed bytes of `msg`: tasks compare by their encoded frames.
+    fn frame(msg: &Msg) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_msg(&mut buf, msg).expect("write to a Vec");
+        buf
+    }
+
+    fn read_task(bytes: &[u8]) -> TaskSpec {
+        match read_msg(&mut BufReader::new(bytes)).expect("read") {
+            Some(Msg::Task(t)) => t,
+            other => panic!("expected TASK, got {other:?}"),
+        }
+    }
+
     #[test]
     fn messages_roundtrip_through_one_stream() {
-        let mut buf = Vec::new();
-        write_msg(&mut buf, &Msg::Task(wire_task())).expect("write task");
-        write_msg(&mut buf, &Msg::Result(Box::new(record()))).expect("write result");
-        write_msg(&mut buf, &Msg::Done).expect("write done");
+        let mut buf = frame(&Msg::Task(task()));
+        buf.extend(frame(&Msg::Result(Box::new(record()))));
+        buf.extend(frame(&Msg::Done));
 
         let mut r = BufReader::new(&buf[..]);
-        assert_eq!(
-            read_msg(&mut r).expect("task"),
-            Some(Msg::Task(wire_task()))
-        );
+        let Some(Msg::Task(back)) = read_msg(&mut r).expect("task") else {
+            panic!("expected TASK");
+        };
+        assert_eq!(frame(&Msg::Task(back)), frame(&Msg::Task(task())));
         let Some(Msg::Result(back)) = read_msg(&mut r).expect("result") else {
             panic!("expected RESULT");
         };
@@ -292,19 +266,19 @@ mod tests {
         assert_eq!(back.engine, orig.engine, "counters must marshal exactly");
         assert_eq!(back.output, orig.output);
         assert_eq!(back.wall_ms, orig.wall_ms);
-        assert_eq!(read_msg(&mut r).expect("done"), Some(Msg::Done));
-        assert_eq!(read_msg(&mut r).expect("eof"), None, "clean EOF");
+        assert!(matches!(read_msg(&mut r).expect("done"), Some(Msg::Done)));
+        assert!(read_msg(&mut r).expect("eof").is_none(), "clean EOF");
     }
 
     #[test]
     fn none_fields_roundtrip() {
-        let mut t = wire_task();
+        let mut t = task();
         t.cc = None;
         t.prune = None;
-        let mut buf = Vec::new();
-        write_msg(&mut buf, &Msg::Task(t.clone())).expect("write");
-        let back = read_msg(&mut BufReader::new(&buf[..])).expect("read");
-        assert_eq!(back, Some(Msg::Task(t)));
+        let bytes = frame(&Msg::Task(t));
+        let back = read_task(&bytes);
+        assert!(back.cc.is_none() && back.prune.is_none());
+        assert_eq!(frame(&Msg::Task(back)), bytes);
     }
 
     #[test]
@@ -313,9 +287,7 @@ mod tests {
         // exactly what run_to_json renders.
         let rec = record();
         let chunk = artifact::run_to_json(&rec).render();
-        let mut buf = Vec::new();
-        write_msg(&mut buf, &Msg::Result(Box::new(rec))).expect("write");
-        let framed = String::from_utf8(buf).expect("utf8");
+        let framed = String::from_utf8(frame(&Msg::Result(Box::new(rec)))).expect("utf8");
         let (header, rest) = framed.split_once('\n').expect("header line");
         assert_eq!(header, format!("RESULT {}", chunk.len()));
         assert_eq!(rest, format!("{chunk}\n"));
@@ -323,14 +295,12 @@ mod tests {
 
     #[test]
     fn torn_frames_error_instead_of_resyncing() {
-        let mut buf = Vec::new();
-        write_msg(&mut buf, &Msg::Task(wire_task())).expect("write");
+        let mut buf = frame(&Msg::Task(task()));
         // Kill the stream mid-payload.
         buf.truncate(buf.len() - 10);
         assert!(read_msg(&mut BufReader::new(&buf[..])).is_err());
         // Corrupt the frame terminator.
-        let mut buf2 = Vec::new();
-        write_msg(&mut buf2, &Msg::Task(wire_task())).expect("write");
+        let mut buf2 = frame(&Msg::Task(task()));
         let n = buf2.len();
         buf2[n - 1] = b'X';
         assert!(read_msg(&mut BufReader::new(&buf2[..])).is_err());
@@ -363,20 +333,59 @@ mod tests {
     }
 
     #[test]
+    fn endless_header_line_is_rejected_at_the_header_cap() {
+        // An unbounded line read never returns here: it buffers the
+        // endless stream until the allocator gives out.
+        let err = read_msg(&mut BufReader::new(io::repeat(0))).expect_err("no newline ever");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("header cap"), "{err}");
+    }
+
+    #[test]
     fn wire_task_resolves_against_the_registry() {
-        let t = WireTask {
-            experiment: "table1".into(),
-            exp_index: 0,
-            seed: 1,
-            quick: true,
-            cache_mode: CacheMode::Cached,
-            cc: None,
-            prune: None,
-        };
-        let spec = t.resolve().expect("resolves");
-        assert_eq!(spec.exp.id, "table1");
-        let mut bogus = t;
-        bogus.experiment = "not-an-experiment".into();
-        assert!(bogus.resolve().is_err());
+        let bytes = frame(&Msg::Task(task()));
+        let back = read_task(&bytes);
+        assert!(std::ptr::eq(back.exp, task().exp), "the registry's entry");
+        // The same frame naming an id this registry lacks (equal length,
+        // so the header stays valid) fails with the id in the message.
+        let skewed = String::from_utf8(bytes)
+            .expect("utf8")
+            .replace("\"table1\"", "\"tableX\"");
+        let err = read_msg(&mut BufReader::new(skewed.as_bytes())).expect_err("unknown id");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("'tableX'"), "{err}");
+    }
+
+    /// Seeded bit-flip mutants per frame kind.
+    const FLIPS: usize = 2_000;
+
+    #[test]
+    fn truncated_and_bit_flipped_frames_never_panic() {
+        let mut rng = SimRng::root(0x7072_6f74_6f2d_667a);
+        for msg in [Msg::Task(task()), Msg::Result(Box::new(record()))] {
+            let whole = frame(&msg);
+            let decode = |bytes: &[u8], what: String| -> io::Result<bool> {
+                let read = || read_msg(&mut BufReader::new(bytes)).map(|m| m.is_some());
+                std::panic::catch_unwind(read).unwrap_or_else(|_| {
+                    panic!("read_msg panicked on a {} frame, {what}", tag(&msg))
+                })
+            };
+            for cut in 0..whole.len() {
+                // No strict prefix is a message: the empty one is a clean
+                // EOF, every other one an error.
+                let got = decode(&whole[..cut], format!("cut {cut}"));
+                if cut == 0 {
+                    assert!(matches!(got, Ok(false)), "empty input is a clean EOF");
+                } else {
+                    assert!(got.is_err(), "{cut}-byte prefix of a {} frame", tag(&msg));
+                }
+            }
+            for i in 0..FLIPS {
+                let mut bytes = whole.clone();
+                let at = (rng.next_u64() % bytes.len() as u64) as usize;
+                bytes[at] ^= 1 << (rng.next_u64() % 8);
+                let _ = decode(&bytes, format!("mutant {i}"));
+            }
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! The sharded campaign runner.
+//! The in-process datapath: the thread pool and the task executor.
 //!
 //! Tasks are pre-loaded into an mpsc channel (heaviest cost tier first —
 //! longest-processing-time order) and a pool of `std::thread` workers
@@ -7,11 +7,14 @@
 //! Each worker:
 //!
 //! 1. builds a fresh [`SimCtx`] for the task (private counters, an empty
-//!    codebook cache, the task's link-gain cache policy),
+//!    codebook cache, the campaign-wide prebuilt codebook pool),
 //! 2. runs the experiment under `catch_unwind` (a panic becomes a
 //!    [`RunStatus::Panicked`] record, not a dead campaign),
 //! 3. snapshots wall time + the context's scheduler counters into a
 //!    [`RunRecord`].
+//!
+//! [`crate::control::run`] owns the campaign loop around the pool;
+//! [`run`] is that loop without an output directory.
 //!
 //! Determinism: a task's result depends only on `(experiment id, seed,
 //! quick)` — experiments derive all randomness from the seed via labelled
@@ -25,55 +28,29 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::control::{self, ControlOpts};
 use crate::{CampaignConfig, CampaignResult, RunRecord, RunStatus, TaskSpec};
 use mmwave_phy::CodebookPrebuild;
-use mmwave_sim::ctx::{CacheMode, SimCtx};
+use mmwave_sim::ctx::SimCtx;
 
-/// Run the campaign matrix; blocks until every task completed.
+/// Run the campaign matrix in memory on the in-process pool; blocks until
+/// every task completed.
 pub fn run(cfg: &CampaignConfig) -> CampaignResult {
-    run_tasks(cfg, cfg.tasks())
+    control::run(cfg, None, &ControlOpts::default())
+        .expect("an in-process campaign without an output directory does no I/O")
+        .result
 }
 
-/// [`run`], but with every task's link-gain cache forced to `mode`. The
-/// equivalence suites run the same matrix under [`CacheMode::Bypass`] to
-/// prove the cache never changes an artifact byte.
-pub fn run_with_cache_mode(cfg: &CampaignConfig, mode: CacheMode) -> CampaignResult {
-    let mut tasks = cfg.tasks();
-    for t in &mut tasks {
-        t.cache_mode = mode;
-    }
-    run_tasks(cfg, tasks)
-}
-
-fn run_tasks(cfg: &CampaignConfig, tasks: Vec<TaskSpec>) -> CampaignResult {
-    let t0 = Instant::now();
-    let jobs = cfg.effective_jobs().min(tasks.len()).max(1);
-    let pool = ThreadPool::spawn(tasks, jobs);
-    let mut keyed: Vec<((usize, u64), RunRecord)> = pool.records.iter().collect();
-    pool.join();
-
-    keyed.sort_by_key(|(key, _)| *key);
-    CampaignResult {
-        records: keyed.into_iter().map(|(_, r)| r).collect(),
-        seeds: cfg.seeds.clone(),
-        quick: cfg.quick,
-        jobs,
-        workers: 0,
-        tasks_resumed: 0,
-        chunks_streamed: 0,
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-    }
-}
-
-/// The in-process worker pool, decoupled from result collection so the
-/// streaming control plane ([`crate::control`]) can append each record's
-/// artifact chunk the moment it lands instead of waiting for the whole
-/// campaign: records arrive on [`ThreadPool::records`] in completion
-/// order, keyed by matrix cell.
+/// A pool of threads feeding one record channel, decoupled from result
+/// collection so the control plane ([`crate::control`]) can append each
+/// record's artifact chunk the moment it lands instead of waiting for the
+/// whole campaign: records arrive on [`ThreadPool::records`] in
+/// completion order, keyed by matrix cell. The control plane also builds
+/// one whose threads drive `campaign worker` subprocesses.
 pub(crate) struct ThreadPool {
     /// Completed records in completion (not matrix) order.
     pub(crate) records: mpsc::Receiver<((usize, u64), RunRecord)>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    pub(crate) handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ThreadPool {
@@ -156,7 +133,7 @@ pub fn run_task_prebuilt(task: &TaskSpec, pool: &CodebookPrebuild) -> RunRecord 
     // A fresh context per task: the counters and the codebook cache are
     // born empty, so the counters (and thus artifact bytes) are a pure
     // function of the task regardless of which worker ran what before.
-    let ctx = SimCtx::with_cache_mode(task.cache_mode);
+    let ctx = SimCtx::new();
     pool.install(&ctx);
     if let Some(kind) = task.cc {
         mmwave_transport::cc::install_override(&ctx, kind);
@@ -345,7 +322,6 @@ mod tests {
             exp_index: 0,
             seed: 3,
             quick: true,
-            cache_mode: CacheMode::Cached,
             cc: None,
             prune: None,
         };

@@ -71,10 +71,7 @@ pub fn serve(input: &mut impl io::BufRead, output: &mut impl Write) -> io::Resul
     let prebuild = CodebookPrebuild::standard_devices();
     loop {
         match proto::read_msg(input)? {
-            Some(Msg::Task(wire)) => {
-                let task = wire
-                    .resolve()
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            Some(Msg::Task(task)) => {
                 let record = runner::run_task_prebuilt(&task, &prebuild);
                 proto::write_msg(output, &Msg::Result(Box::new(record)))?;
             }
@@ -92,18 +89,16 @@ pub fn serve(input: &mut impl io::BufRead, output: &mut impl Write) -> io::Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::WireTask;
-    use crate::RunStatus;
-    use mmwave_sim::ctx::CacheMode;
+    use crate::{RunStatus, TaskSpec};
+    use mmwave_core::experiments::{self, CostTier, Experiment};
     use std::io::BufReader;
 
-    fn task(seed: u64) -> WireTask {
-        WireTask {
-            experiment: "table1".into(),
+    fn task(seed: u64) -> TaskSpec {
+        TaskSpec {
+            exp: experiments::find("table1").expect("registered"),
             exp_index: 0,
             seed,
             quick: true,
-            cache_mode: CacheMode::Cached,
             cc: None,
             prune: None,
         }
@@ -128,14 +123,22 @@ mod tests {
             assert_eq!(rec.status, RunStatus::Pass);
             assert!(rec.engine.events_popped > 0, "task actually simulated");
         }
-        assert_eq!(proto::read_msg(&mut r).expect("eof"), None);
+        assert!(proto::read_msg(&mut r).expect("eof").is_none());
     }
 
     #[test]
     fn serve_rejects_unknown_experiments() {
         let mut input = Vec::new();
+        // A control plane whose registry has an experiment this worker's
+        // lacks: the frame names an id the worker cannot resolve.
         let mut bogus = task(1);
-        bogus.experiment = "no-such-experiment".into();
+        bogus.exp = Box::leak(Box::new(Experiment {
+            id: "no-such-experiment",
+            title: "missing",
+            cost: CostTier::Fast,
+            scenario: "none",
+            run: |_, _, _| unreachable!("never resolved, never run"),
+        }));
         proto::write_msg(&mut input, &Msg::Task(bogus)).expect("frame");
         let mut output = Vec::new();
         let err = serve(&mut BufReader::new(&input[..]), &mut output).expect_err("must error");

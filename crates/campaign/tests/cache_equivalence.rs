@@ -1,57 +1,49 @@
 //! The link-gain cache's core promise: memoization is invisible in every
-//! emitted byte. The same campaign run with the cache enabled and in
-//! bypass mode (identical interning, stamping and counters, but values
-//! recomputed from first principles on every hit) must produce
-//! byte-identical artifacts — including the `engine.link_gain_*`
-//! counters, which fire identically in both modes by construction. A
-//! stale entry surviving an invalidation would diverge some rx power and
-//! show up here as a differing artifact body.
+//! emitted byte. Each task runs twice, on a context with the cache
+//! enabled and on one in bypass mode (identical interning, stamping and
+//! counters, but values recomputed from first principles on every hit),
+//! and must report the same id, output and violations plus the same
+//! engine counters — including the `engine.link_gain_*` counters, which
+//! fire identically in both modes by construction. Those are every
+//! artifact field the cache mode can reach. A stale entry surviving an
+//! invalidation would diverge some rx power and show up here as a
+//! differing report.
 //!
-//! The cache mode is per-task state: [`runner::run_with_cache_mode`]
-//! stamps it into every task's [`SimCtx`], so the two campaigns coexist
-//! with any other test without shared flags.
-//!
-//! [`SimCtx`]: mmwave_sim::ctx::SimCtx
+//! Campaigns always run cached, so the test builds each task's context
+//! itself, as the campaign runner does: fresh per task, with the
+//! campaign-wide codebook pool installed.
 
-use mmwave_campaign::{artifact, runner, CampaignConfig};
 use mmwave_core::experiments;
-use mmwave_sim::ctx::CacheMode;
+use mmwave_phy::CodebookPrebuild;
+use mmwave_sim::ctx::{CacheMode, SimCtx};
+use mmwave_sim::metrics::EngineCounters;
 
-/// Cheap experiments that do not touch the process-global TCP-sweep
-/// cache: the first campaign would otherwise hand memoized sweep results
-/// (with their recorded counters) to the second, and the comparison
-/// would no longer exercise the link-gain cache end to end. `dynblock`
-/// adds a dynamic scenario (scripted blockage with cache invalidations
-/// mid-run) to the matrix.
-fn subset() -> Vec<&'static experiments::Experiment> {
-    ["table1", "fig03", "fig08", "fig15", "dynblock"]
-        .iter()
-        .map(|id| experiments::find(id).expect("registered"))
-        .collect()
-}
+/// Cheap experiments; `dynblock` adds a dynamic scenario (scripted
+/// blockage with cache invalidations mid-run) to the matrix.
+const SUBSET: [&str; 5] = ["table1", "fig03", "fig08", "fig15", "dynblock"];
 
-fn normalized_artifacts(mode: CacheMode) -> Vec<(String, String)> {
-    let cfg = CampaignConfig {
-        experiments: subset(),
-        seeds: vec![1, 2],
-        quick: true,
-        jobs: 2,
-        cc: None,
-        prune: None,
-    };
-    artifact::canonical_artifacts(&runner::run_with_cache_mode(&cfg, mode))
+/// A task's report id, output and violations, and its engine counters.
+type Outcome = (&'static str, String, Vec<String>, EngineCounters);
+
+fn run(id: &str, seed: u64, mode: CacheMode, pool: &CodebookPrebuild) -> Outcome {
+    let ctx = SimCtx::with_cache_mode(mode);
+    pool.install(&ctx);
+    let report = experiments::find(id)
+        .expect("registered")
+        .run(&ctx, true, seed);
+    (report.id, report.output, report.violations, ctx.counters())
 }
 
 #[test]
 fn artifacts_identical_with_cache_and_in_bypass_mode() {
-    let cached = normalized_artifacts(CacheMode::Cached);
-    let bypassed = normalized_artifacts(CacheMode::Bypass);
-    assert_eq!(cached.len(), bypassed.len());
-    for ((name_a, body_a), (name_b, body_b)) in cached.iter().zip(&bypassed) {
-        assert_eq!(name_a, name_b, "artifact order must match");
-        assert_eq!(
-            body_a, body_b,
-            "artifact {name_a} differs between cached and bypass runs"
-        );
+    let pool = CodebookPrebuild::standard_devices();
+    for id in SUBSET {
+        for seed in [1, 2] {
+            assert_eq!(
+                run(id, seed, CacheMode::Cached, &pool),
+                run(id, seed, CacheMode::Bypass, &pool),
+                "{id}-s{seed} differs between cached and bypass runs"
+            );
+        }
     }
 }

@@ -38,8 +38,8 @@ fn subset() -> Vec<&'static experiments::Experiment> {
 
 /// Render the full normalized artifact set as one diffable document.
 fn render_artifacts() -> String {
-    // Golden bytes are defined with the cache ENABLED — `runner::run`
-    // stamps `CacheMode::Cached` into every task's context, so no
+    // Golden bytes are defined with the cache ENABLED — every campaign
+    // task runs on a fresh `SimCtx::new()`, which caches, so no
     // process-wide state needs pinning.
     let cfg = CampaignConfig {
         experiments: subset(),

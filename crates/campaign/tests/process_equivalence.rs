@@ -10,7 +10,7 @@
 //! the wire codec, and come back equal.
 
 use mmwave_campaign::control::{self, ControlOpts};
-use mmwave_campaign::{artifact, CampaignConfig};
+use mmwave_campaign::{artifact, runner, CampaignConfig, RunRecord};
 use mmwave_core::experiments;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -26,6 +26,33 @@ fn cfg() -> CampaignConfig {
         jobs: 1,
         cc: None,
         prune: None,
+    }
+}
+
+fn sharded_opts() -> ControlOpts {
+    ControlOpts {
+        workers: 2,
+        resume: false,
+        worker_cmd: vec![env!("CARGO_BIN_EXE_campaign").to_string(), "worker".into()],
+    }
+}
+
+/// Record streams are equal once per-run wall time is ignored (everything
+/// else, engine counters included, crossed the pipe exactly).
+fn assert_same_records(in_proc: &[RunRecord], sharded: &[RunRecord]) {
+    assert_eq!(
+        sharded.len(),
+        in_proc.len(),
+        "both datapaths must fill the whole matrix"
+    );
+    for (a, b) in in_proc.iter().zip(sharded) {
+        let mut b = b.clone();
+        b.wall_ms = a.wall_ms;
+        assert_eq!(
+            *a, b,
+            "{}-s{} diverged across the pipe",
+            a.experiment, a.seed
+        );
     }
 }
 
@@ -67,41 +94,30 @@ fn subprocess_workers_match_in_process_artifacts_bytewise() {
         .expect("in-process campaign");
     assert!(in_proc.result.all_passed());
 
-    let sharded = control::run_streaming(
-        &cfg(),
-        &sharded_dir,
-        &ControlOpts {
-            workers: 2,
-            resume: false,
-            worker_cmd: vec![env!("CARGO_BIN_EXE_campaign").to_string(), "worker".into()],
-        },
-    )
-    .expect("process-sharded campaign");
+    let sharded = control::run_streaming(&cfg(), &sharded_dir, &sharded_opts())
+        .expect("process-sharded campaign");
     assert!(sharded.result.all_passed());
     assert_eq!(sharded.result.workers, 2);
-    assert_eq!(
-        sharded.result.records.len(),
-        in_proc.result.records.len(),
-        "both datapaths must fill the whole matrix"
-    );
 
     // Raw chunk bytes differ only in wall times; canonical trees are
     // byte-identical, manifest included.
     assert_eq!(canonical_tree(&sharded_dir), canonical_tree(&in_proc_dir));
 
-    // The stronger in-memory statement: record streams are equal once
-    // per-run wall time is ignored (everything else, engine counters
-    // included, crossed the pipe exactly).
-    for (a, b) in in_proc.result.records.iter().zip(&sharded.result.records) {
-        let mut b = b.clone();
-        b.wall_ms = a.wall_ms;
-        assert_eq!(
-            *a, b,
-            "{}-s{} diverged across the pipe",
-            a.experiment, a.seed
-        );
-    }
+    // The stronger in-memory statement.
+    assert_same_records(&in_proc.result.records, &sharded.result.records);
 
     std::fs::remove_dir_all(&in_proc_dir).ok();
     std::fs::remove_dir_all(&sharded_dir).ok();
+}
+
+#[test]
+fn subprocess_workers_without_an_output_directory_match_in_process_records() {
+    let sharded = control::run(&cfg(), None, &sharded_opts()).expect("sharded in-memory campaign");
+    assert_eq!(sharded.result.workers, 2);
+    assert_eq!(
+        sharded.manifest_path, None,
+        "no output directory, no manifest"
+    );
+    assert_eq!(sharded.result.chunks_streamed, 0, "no chunk written");
+    assert_same_records(&runner::run(&cfg()).records, &sharded.result.records);
 }

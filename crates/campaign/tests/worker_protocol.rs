@@ -4,9 +4,8 @@
 //! the narrow waist the control plane depends on; everything here speaks
 //! the same `proto` codec production uses.
 
-use mmwave_campaign::proto::{self, Msg, WireTask};
-use mmwave_campaign::RunStatus;
-use mmwave_sim::ctx::CacheMode;
+use mmwave_campaign::proto::{self, Msg};
+use mmwave_campaign::{RunStatus, TaskSpec};
 use std::io::{BufReader, Write};
 use std::process::{Child, Command, Stdio};
 
@@ -20,13 +19,12 @@ fn spawn_worker() -> Child {
         .expect("spawn campaign worker")
 }
 
-fn task(seed: u64) -> WireTask {
-    WireTask {
-        experiment: "table1".into(),
+fn task(seed: u64) -> TaskSpec {
+    TaskSpec {
+        exp: mmwave_core::experiments::find("table1").expect("registered"),
         exp_index: 0,
         seed,
         quick: true,
-        cache_mode: CacheMode::Cached,
         cc: None,
         prune: None,
     }
@@ -60,7 +58,7 @@ fn worker_executes_framed_tasks_and_exits_cleanly_on_done() {
 
     proto::write_msg(&mut stdin, &Msg::Done).expect("send done");
     drop(stdin);
-    assert_eq!(proto::read_msg(&mut stdout).expect("eof"), None);
+    assert!(proto::read_msg(&mut stdout).expect("eof").is_none());
     let status = child.wait().expect("wait");
     assert!(status.success(), "DONE must exit 0, got {status:?}");
 }
@@ -108,9 +106,8 @@ fn worker_reports_wire_records_identical_to_in_process_execution() {
 
     // Same prebuild the worker pays at startup, so codebook counters are
     // comparable.
-    let spec = task(1).resolve().expect("resolvable");
     let local = mmwave_campaign::runner::run_task_prebuilt(
-        &spec,
+        &task(1),
         &mmwave_phy::CodebookPrebuild::standard_devices(),
     );
     let mut piped = *piped;

@@ -78,6 +78,7 @@ pub enum CostTier {
 
 /// A typed experiment descriptor: everything a runner needs to schedule,
 /// execute and label one paper artifact.
+#[derive(Debug)]
 pub struct Experiment {
     /// Stable id ("fig09", "table1", …) used in CLIs and artifact names.
     pub id: &'static str,

@@ -44,25 +44,6 @@ pub enum CacheMode {
     Bypass,
 }
 
-impl CacheMode {
-    /// Stable identifier (wire protocol, CLI flag values, test labels).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CacheMode::Cached => "cached",
-            CacheMode::Bypass => "bypass",
-        }
-    }
-
-    /// Inverse of [`CacheMode::as_str`].
-    pub fn from_str(s: &str) -> Option<CacheMode> {
-        match s {
-            "cached" => Some(CacheMode::Cached),
-            "bypass" => Some(CacheMode::Bypass),
-            _ => None,
-        }
-    }
-}
-
 struct CtxInner {
     /// One cell per [`Counter`], indexed by the counter's discriminant.
     counters: [Cell<u64>; Counter::COUNT],

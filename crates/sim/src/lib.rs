@@ -7,10 +7,11 @@
 //! * [`time`] — integer-nanosecond simulated time ([`SimTime`], [`SimDuration`])
 //!   so protocol constants (SIFS = 3 µs, beacon interval = 1.1 ms, …) are exact
 //!   and never drift through floating point.
-//! * [`queue`] + [`engine`] — a cancellable, deterministically ordered event
-//!   queue and a simple run loop. Two events scheduled for the same instant
-//!   fire in scheduling order, so a simulation is a pure function of its
-//!   inputs and seed.
+//! * [`queue`] — a cancellable, deterministically ordered event queue. Two
+//!   events scheduled for the same instant pop in scheduling order, so a
+//!   simulation is a pure function of its inputs and seed. Each simulator
+//!   (the MAC's `Net`, for one) drives its own loop over an
+//!   [`EventQueue`] of its own event type.
 //! * [`rng`] — a seeded RNG that hands out independent, *labelled* substreams.
 //!   Adding a new random component never perturbs the draws of existing ones,
 //!   which keeps regression tests stable.
@@ -28,22 +29,22 @@
 //! ```
 //! use mmwave_sim::prelude::*;
 //!
-//! // A world that counts ticks.
-//! struct World { ticks: u32 }
-//!
-//! let mut engine = Engine::new(World { ticks: 0 });
-//! // Schedule three ticks, one every 100 µs.
-//! for i in 1..=3u64 {
-//!     engine.schedule(SimTime::ZERO + SimDuration::from_micros(100) * i as u32,
-//!                     Box::new(|w: &mut World, _now, _sched| { w.ticks += 1; }));
+//! // A queue whose pops, cancels and depth land in `ctx`'s counters.
+//! let ctx = SimCtx::new();
+//! let mut queue = EventQueue::with_ctx(&ctx);
+//! // Schedule three ticks out of order, 100 µs apart.
+//! for i in [3u64, 1, 2] {
+//!     queue.schedule(SimTime::from_micros(100 * i), i);
 //! }
-//! engine.run_until(SimTime::from_millis(1));
-//! assert_eq!(engine.world().ticks, 3);
-//! assert_eq!(engine.now(), SimTime::from_millis(1));
+//! let mut order = Vec::new();
+//! while let Some((_at, tick)) = queue.pop() {
+//!     order.push(tick);
+//! }
+//! assert_eq!(order, vec![1, 2, 3]);
+//! assert_eq!(ctx.counters().events_popped, 3);
 //! ```
 
 pub mod ctx;
-pub mod engine;
 pub mod hash;
 pub mod metrics;
 pub mod queue;
@@ -55,7 +56,6 @@ pub mod time;
 /// Convenient re-exports of the types almost every consumer needs.
 pub mod prelude {
     pub use crate::ctx::{CacheMode, SimCtx};
-    pub use crate::engine::{Engine, EventFn, Scheduler};
     pub use crate::hash::{FastMap, FastSet};
     pub use crate::metrics::EngineCounters;
     pub use crate::queue::{EventId, EventQueue};

@@ -582,6 +582,21 @@ mod tests {
     }
 
     #[test]
+    fn metrics_count_pops_cancels_and_peak_depth() {
+        let ctx = SimCtx::new();
+        let mut q = EventQueue::with_ctx(&ctx);
+        let a = q.schedule(t(10), "a");
+        q.schedule(t(20), "b");
+        q.schedule(t(30), "c");
+        assert!(q.cancel(a));
+        while q.pop().is_some() {}
+        let m = ctx.counters();
+        assert_eq!(m.events_popped, 2);
+        assert_eq!(m.events_cancelled, 1);
+        assert_eq!(m.peak_queue_depth, 3);
+    }
+
+    #[test]
     fn pops_in_time_order_across_wheel_levels() {
         let mut q = EventQueue::new();
         // Spans all wheel levels: sub-slot, same-level, and far-future

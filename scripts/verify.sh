@@ -15,6 +15,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo bench --no-run"
+# Tier-1 `cargo test` never compiles `[[bench]]` targets, and
+# SKIP_BENCH=1 also skips the kernel gate, the only other step that
+# does: build every bench target here so a bench calling an edited API
+# breaks the gate, not the next person to run it.
+cargo bench --no-run -q
+
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 

@@ -1,16 +1,6 @@
-//! # boon60-lab — workspace umbrella
+//! # boon60-lab — workspace root package
 //!
 //! This crate exists to host the runnable examples (`examples/`) and the
-//! cross-crate integration tests (`tests/`) at the workspace root; it
-//! re-exports every member crate so one `use boon60_lab::…` reaches the
-//! whole stack. Library users should depend on the individual crates
-//! (`mmwave-core` pulls in everything below it).
-
-pub use mmwave_capture as capture;
-pub use mmwave_channel as channel;
-pub use mmwave_core as core;
-pub use mmwave_geom as geom;
-pub use mmwave_mac as mac;
-pub use mmwave_phy as phy;
-pub use mmwave_sim as sim;
-pub use mmwave_transport as transport;
+//! cross-crate integration tests (`tests/`) at the workspace root; they
+//! depend on the member crates directly. Library users should depend on
+//! the individual crates (`mmwave-core` pulls in everything below it).

@@ -1,7 +1,8 @@
 //! Workspace smoke test: a small quick campaign run fully in-process,
-//! with its artifacts written to disk and parsed back (schema round-trip).
+//! with its artifacts streamed to disk and parsed back (schema round-trip).
 
-use mmwave_campaign::{artifact, json::Json, runner, CampaignConfig, RunStatus};
+use mmwave_campaign::control::{self, ControlOpts};
+use mmwave_campaign::{artifact, json::Json, CampaignConfig, RunStatus};
 use mmwave_core::experiments;
 
 #[test]
@@ -17,11 +18,13 @@ fn two_experiment_campaign_roundtrips() {
         cc: None,
         prune: None,
     };
-    let result = runner::run(&cfg);
-    assert_eq!(result.records.len(), 2);
-
     let dir = std::env::temp_dir().join(format!("campaign-smoke-{}", std::process::id()));
-    let manifest_path = artifact::write_artifacts(&result, &dir).expect("write artifacts");
+    let summary = control::run_streaming(&cfg, &dir, &ControlOpts::default()).expect("campaign");
+    let result = summary.result;
+    assert_eq!(result.records.len(), 2);
+    let manifest_path = summary
+        .manifest_path
+        .expect("written under the output directory");
 
     // Manifest parses and indexes both runs.
     let manifest = Json::parse(&std::fs::read_to_string(&manifest_path).expect("read"))
