@@ -21,7 +21,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn bench_event_queue() {
     bench("event_queue/schedule_pop_10k", || {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_ctx(&SimCtx::new());
         for i in 0..10_000u64 {
             q.schedule(SimTime::from_nanos((i * 7919) % 100_000), i);
         }
@@ -35,7 +35,7 @@ fn bench_event_queue() {
     // before the drain, so the tombstone set is exercised on all three
     // paths (insert on cancel, membership probe and removal on pop).
     bench("event_queue/schedule_cancel_pop_10k", || {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_ctx(&SimCtx::new());
         let mut ids = Vec::with_capacity(10_000);
         for i in 0..10_000u64 {
             ids.push(q.schedule(SimTime::from_nanos((i * 7919) % 100_000), i));
@@ -58,7 +58,7 @@ fn bench_event_queue() {
     // hot together.
     bench("event_queue/dense_timers_64flows", || {
         const FLOWS: u64 = 64;
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_ctx(&SimCtx::new());
         let mut rto: Vec<Option<mmwave_sim::queue::EventId>> = vec![None; FLOWS as usize];
         for f in 0..FLOWS {
             // Payload encodes (flow, kind): kind 0 pacer, 1 RTO, 2 MAC.
@@ -349,12 +349,11 @@ fn bench_link_cache() {
     };
 
     bench("link/begin_tx_cold_fresh_medium", || {
-        let mut m = Medium::new();
+        let mut m = Medium::with_ctx(&SimCtx::new());
         one_tx(&mut m)
     });
 
-    let mut warm = Medium::new();
-    *warm.link_cache_mut() = LinkGainCache::with_mode(CacheMode::Cached);
+    let mut warm = Medium::with_ctx(&SimCtx::new());
     one_tx(&mut warm);
     bench("link/begin_tx_warm", move || one_tx(&mut warm));
 
@@ -364,8 +363,7 @@ fn bench_link_cache() {
     // begin_tx/finish_tx round trip never touches the allocator.
     {
         let (env_r, dev_r, offs_r) = (&env, &devices, &offs);
-        let mut recycled = Medium::new();
-        *recycled.link_cache_mut() = LinkGainCache::with_mode(CacheMode::Cached);
+        let mut recycled = Medium::with_ctx(&SimCtx::new());
         one_tx(&mut recycled);
         let mut mpdus = vec![Mpdu {
             bytes: 1500,
@@ -405,13 +403,12 @@ fn bench_link_cache() {
         );
     }
 
-    let mut bypass = Medium::new();
-    *bypass.link_cache_mut() = LinkGainCache::with_mode(CacheMode::Bypass);
+    let bypass_ctx = SimCtx::with_cache_mode(CacheMode::Bypass);
+    let mut bypass = Medium::with_ctx(&bypass_ctx);
     one_tx(&mut bypass);
     bench("link/begin_tx_bypass", move || one_tx(&mut bypass));
 
-    let mut inval = Medium::new();
-    *inval.link_cache_mut() = LinkGainCache::with_mode(CacheMode::Cached);
+    let mut inval = Medium::with_ctx(&SimCtx::new());
     one_tx(&mut inval);
     bench("link/begin_tx_after_invalidate_all", move || {
         inval.link_cache_mut().invalidate_all();
@@ -421,12 +418,12 @@ fn bench_link_cache() {
     // Beam training: a warm retrain is one memoized sector-table lookup;
     // bypass rebuilds the full 32×32 table every sweep.
     let (env_ref, a, b) = (&env, &devices[0], &devices[1]);
-    let mut cache = LinkGainCache::with_mode(CacheMode::Cached);
+    let mut cache = LinkGainCache::with_ctx(&SimCtx::new());
     training::best_pair_with(&mut cache, env_ref, a, 0, b, 1);
     bench("training/best_pair_warm", move || {
         training::best_pair_with(&mut cache, env_ref, a, 0, b, 1).rx_dbm
     });
-    let mut scratch = LinkGainCache::with_mode(CacheMode::Bypass);
+    let mut scratch = LinkGainCache::with_ctx(&bypass_ctx);
     bench("training/best_pair_bypass", move || {
         training::best_pair_with(&mut scratch, env_ref, a, 0, b, 1).rx_dbm
     });
@@ -479,7 +476,7 @@ fn bench_spatial() {
         }
     }
     let offs = vec![0.0; devices.len()];
-    let mut medium = Medium::new();
+    let mut medium = Medium::with_ctx(&ctx);
     medium.enable_spatial(
         &env,
         &SpatialConfig::default(),

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! campaign [--jobs N] [--workers N] [--resume] [--seeds A..B | --seeds N]
-//!          [--quick] [--out DIR] [--cc ALG] [--prune MODE] [--json]
-//!          [--list] [all | <id> ...]
+//!          [--quick] [--out DIR] [--cc ALG] [--prune MODE]
+//!          [--format table|report|json] [--list] [all | <id> ...]
 //! campaign worker
 //! ```
 //!
@@ -12,8 +12,8 @@
 //!   of in-process threads (artifact bytes are identical either way)
 //! * `--resume`    skip tasks whose artifact chunk already exists and
 //!   hashes clean against `<out>/campaign.manifest` (requires `--out`)
-//! * `--seeds A..B` half-open seed range (`--seeds 1..5` = seeds 1,2,3,4);
-//!   a single number runs just that seed (default: 1)
+//! * `--seeds A..B` half-open seed range (`--seeds 1..5` = seeds 1,2,3,4,
+//!   at most 65,536 seeds); a single number runs just that seed (default: 1)
 //! * `--quick`     quick mode (shorter campaigns, fewer sweep points)
 //! * `--cc ALG`    congestion-control override for every TCP flow
 //!   (`reno`, `cubic`, `rate_probe`; default: each flow's own choice)
@@ -22,7 +22,10 @@
 //!   pair through the full radiometric chain and panics on leakage)
 //! * `--out DIR`   write `manifest.json` + `runs/*.json` artifacts,
 //!   streamed incrementally with a resumable `campaign.manifest` ledger
-//! * `--json`      print the manifest JSON to stdout instead of the table
+//! * `--format F`  what to print once the matrix completes: `table` (one
+//!   row of counters per run, the default), `report` (each run's rendered
+//!   paper rows/series and its `[PASS]`/`[FAIL]` shape-check verdict) or
+//!   `json` (the manifest JSON)
 //! * `--list`      list registered experiments and exit
 //!
 //! `campaign worker` is the subprocess datapath the control plane spawns
@@ -35,7 +38,7 @@
 //! usage errors.
 
 use mmwave_campaign::control::{self, ControlOpts};
-use mmwave_campaign::{artifact, worker, CampaignConfig};
+use mmwave_campaign::{artifact, worker, CampaignConfig, CampaignResult, RunStatus};
 use mmwave_core::experiments::{self, Experiment};
 
 struct Cli {
@@ -47,10 +50,25 @@ struct Cli {
     cc: Option<mmwave_transport::CcKind>,
     prune: Option<mmwave_channel::PruneMode>,
     out_dir: Option<String>,
-    json: bool,
+    format: Format,
     list: bool,
     ids: Vec<String>,
 }
+
+/// What the CLI prints to stdout once the matrix completes.
+enum Format {
+    /// One row per run: wall time, scheduler counters and status.
+    Table,
+    /// Each run's rendered paper output and its shape-check verdict.
+    Report,
+    /// The campaign manifest JSON.
+    Json,
+}
+
+/// Longest `--seeds A..B` range accepted. The matrix is planned in memory
+/// before anything runs, so an absurd range is a usage error, not an
+/// allocation failure.
+const MAX_SEEDS: u64 = 65_536;
 
 fn parse_seeds(spec: &str) -> Result<Vec<u64>, String> {
     if let Some((a, b)) = spec.split_once("..") {
@@ -60,6 +78,12 @@ fn parse_seeds(spec: &str) -> Result<Vec<u64>, String> {
         let b: u64 = b.parse().map_err(|_| format!("bad seed range end: {b}"))?;
         if a >= b {
             return Err(format!("empty seed range: {spec}"));
+        }
+        if b - a > MAX_SEEDS {
+            return Err(format!(
+                "seed range {spec} has {} seeds; at most {MAX_SEEDS} per campaign",
+                b - a
+            ));
         }
         Ok((a..b).collect())
     } else {
@@ -78,7 +102,7 @@ fn parse_args() -> Result<Cli, String> {
         cc: None,
         prune: None,
         out_dir: None,
-        json: false,
+        format: Format::Table,
         list: false,
         ids: Vec::new(),
     };
@@ -86,7 +110,6 @@ fn parse_args() -> Result<Cli, String> {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => cli.quick = true,
-            "--json" => cli.json = true,
             "--list" => cli.list = true,
             "--jobs" => {
                 let v = args.next().ok_or("--jobs needs a value")?;
@@ -120,6 +143,15 @@ fn parse_args() -> Result<Cli, String> {
             }
             "--out" => {
                 cli.out_dir = Some(args.next().ok_or("--out needs a directory")?);
+            }
+            "--format" => {
+                let v = args.next().ok_or("--format needs table|report|json")?;
+                cli.format = match v.as_str() {
+                    "table" => Format::Table,
+                    "report" => Format::Report,
+                    "json" => Format::Json,
+                    _ => return Err(format!("unknown output format: {v}")),
+                };
             }
             "all" => {}
             other if other.starts_with("--") => {
@@ -155,7 +187,7 @@ fn main() {
         Ok(c) => c,
         Err(e) => {
             eprintln!(
-                "{e}\nusage: campaign [--jobs N] [--workers N] [--resume] [--seeds A..B] [--quick] [--cc ALG] [--prune MODE] [--out DIR] [--json] [--list] [all | <id> ...]"
+                "{e}\nusage: campaign [--jobs N] [--workers N] [--resume] [--seeds A..B] [--quick] [--cc ALG] [--prune MODE] [--out DIR] [--format table|report|json] [--list] [all | <id> ...]"
             );
             std::process::exit(2);
         }
@@ -212,44 +244,70 @@ fn main() {
     }
     let result = summary.result;
 
-    if cli.json {
-        print!("{}", artifact::manifest_to_json(&result).render());
-    } else {
-        println!(
-            "{:<8} {:>6} {:>10} {:>12} {:>10} {:>9}  status",
-            "id", "seed", "wall ms", "events", "cancelled", "peak q"
-        );
-        for r in &result.records {
-            println!(
-                "{:<8} {:>6} {:>10.1} {:>12} {:>10} {:>9}  {}",
-                r.experiment,
-                r.seed,
-                r.wall_ms,
-                r.engine.events_popped,
-                r.engine.events_cancelled,
-                r.engine.peak_queue_depth,
-                r.status.as_str(),
-            );
-            for v in &r.violations {
-                println!("         - {v}");
-            }
-            if let Some(p) = &r.panic_message {
-                println!("         ! panicked: {p}");
-            }
-        }
-        let (passed, shape_failed, panicked) = result.counts();
-        println!(
-            "\n{} runs on {} worker(s) in {:.1} ms: {} passed, {} shape-failed, {} panicked",
-            result.records.len(),
-            result.jobs,
-            result.wall_ms,
-            passed,
-            shape_failed,
-            panicked
-        );
+    match cli.format {
+        Format::Table => print_table(&result),
+        Format::Report => print_report(&result),
+        Format::Json => print!("{}", artifact::manifest_to_json(&result).render()),
     }
 
     if !result.all_passed() {
         std::process::exit(1);
+    }
+}
+
+fn print_table(result: &CampaignResult) {
+    println!(
+        "{:<8} {:>6} {:>10} {:>12} {:>10} {:>9}  status",
+        "id", "seed", "wall ms", "events", "cancelled", "peak q"
+    );
+    for r in &result.records {
+        println!(
+            "{:<8} {:>6} {:>10.1} {:>12} {:>10} {:>9}  {}",
+            r.experiment,
+            r.seed,
+            r.wall_ms,
+            r.engine.events_popped,
+            r.engine.events_cancelled,
+            r.engine.peak_queue_depth,
+            r.status.as_str(),
+        );
+        for v in &r.violations {
+            println!("         - {v}");
+        }
+        if let Some(p) = &r.panic_message {
+            println!("         ! panicked: {p}");
+        }
+    }
+    let (passed, shape_failed, panicked) = result.counts();
+    println!(
+        "\n{} runs on {} worker(s) in {:.1} ms: {} passed, {} shape-failed, {} panicked",
+        result.records.len(),
+        result.jobs,
+        result.wall_ms,
+        passed,
+        shape_failed,
+        panicked
+    );
+}
+
+fn print_report(result: &CampaignResult) {
+    for r in &result.records {
+        println!("\n################################################################");
+        println!("# {} — {} (seed {})", r.experiment, r.title, r.seed);
+        println!("################################################################");
+        println!("{}", r.output);
+        match r.status {
+            RunStatus::Pass => println!("[PASS] all shape checks hold ({:.1} ms)", r.wall_ms),
+            RunStatus::ShapeFail => {
+                println!("[FAIL] {} shape check(s) violated:", r.violations.len());
+                for v in &r.violations {
+                    println!("  - {v}");
+                }
+            }
+            RunStatus::Panicked => println!(
+                "[FAIL] panicked: {}",
+                r.panic_message.as_deref().unwrap_or("unknown panic")
+            ),
+        }
     }
 }

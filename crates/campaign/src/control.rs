@@ -237,16 +237,18 @@ fn open_ledger(
 }
 
 /// Start one thread per worker process, each feeding its worker from a
-/// shared LPT-ordered queue of `pending`.
+/// shared LPT-ordered queue of `pending`. No more threads start than
+/// there are tasks: an extra one would find the queue empty at once.
 fn spawn_worker_procs(
     pending: Vec<TaskSpec>,
     opts: &ControlOpts,
 ) -> io::Result<runner::ThreadPool> {
     let (rec_tx, records) = mpsc::channel::<Keyed>();
+    let procs = opts.workers.min(pending.len());
     let queue = Arc::new(Mutex::new(plan_queue(pending)));
     let worker_cmd = resolve_worker_cmd(&opts.worker_cmd)?;
-    let mut handles = Vec::with_capacity(opts.workers);
-    for w in 0..opts.workers {
+    let mut handles = Vec::with_capacity(procs);
+    for w in 0..procs {
         let queue = Arc::clone(&queue);
         let tx = rec_tx.clone();
         let cmd = worker_cmd.clone();
@@ -402,4 +404,24 @@ fn report_failure(tx: &mpsc::Sender<Keyed>, task: &TaskSpec, message: &str) {
         engine: Default::default(),
     };
     let _ = tx.send(((task.exp_index, task.seed), record));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn worker_dispatch_starts_no_more_threads_than_tasks() {
+        let one_task = CampaignConfig::all(true, vec![1], 1).tasks()[..1].to_vec();
+        let opts = ControlOpts {
+            workers: 64,
+            // Never starts: the one dispatch thread fails its task at spawn.
+            worker_cmd: vec!["/nonexistent/campaign-worker".into()],
+            ..ControlOpts::default()
+        };
+        let pool = spawn_worker_procs(one_task, &opts).expect("dispatch starts");
+        assert_eq!(pool.handles.len(), 1);
+        assert_eq!(pool.records.iter().count(), 1, "the failed task reports");
+        pool.join();
+    }
 }

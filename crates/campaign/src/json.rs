@@ -91,13 +91,6 @@ impl Json {
         }
     }
 
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Render with 2-space indentation and a trailing newline.
     pub fn render(&self) -> String {
         let mut out = String::new();

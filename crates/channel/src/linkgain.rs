@@ -157,16 +157,16 @@ struct GainEntry {
     db: f64,
 }
 
-/// Full sector-pair gain table for one unordered device pair, stored in
-/// canonical orientation (rows = lo sectors, cols = hi sectors).
+/// The memoized sector sweep for one unordered device pair, in canonical
+/// orientation (`lo` is the lower device index).
 #[derive(Clone, Debug)]
 struct TableEntry {
     stamp: Stamp,
     n_lo: usize,
     n_hi: usize,
-    /// `lin[s_lo · n_hi + s_hi]` — total linear link gain for that pair.
-    lin: Vec<f64>,
-    /// Argmax of `lin` as `(s_lo, s_hi, gain_lin)`.
+    /// Argmax of the total linear link gain over every sector pair, as
+    /// `(s_lo, s_hi, gain_lin)`; ties keep the first pair in lo-major
+    /// scan order.
     best: (usize, usize, f64),
 }
 
@@ -188,19 +188,7 @@ pub struct LinkGainCache {
     stats: CacheStats,
 }
 
-impl Default for LinkGainCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl LinkGainCache {
-    /// A cache on a fresh private context (mode [`CacheMode::Cached`]).
-    /// Simulations that report counters build through [`Self::with_ctx`].
-    pub fn new() -> LinkGainCache {
-        Self::with_ctx(&SimCtx::new())
-    }
-
     /// A cache adopting `ctx`'s cache mode and streaming its hit/miss/
     /// invalidation counters into `ctx`.
     pub fn with_ctx(ctx: &SimCtx) -> LinkGainCache {
@@ -214,11 +202,6 @@ impl LinkGainCache {
             tables: FastMap::default(),
             stats: CacheStats::default(),
         }
-    }
-
-    /// A cache in an explicit mode, on a fresh private context.
-    pub fn with_mode(mode: CacheMode) -> LinkGainCache {
-        Self::with_ctx(&SimCtx::with_cache_mode(mode))
     }
 
     /// Operating mode.
@@ -555,7 +538,6 @@ impl LinkGainCache {
         let g_hi = sector_gains(cb_hi, &entry.hi_res, hi_node, &entry.paths, Side::Hi);
 
         let (n_lo, n_hi) = (cb_lo.len(), cb_hi.len());
-        let mut lin = vec![0.0; n_lo * n_hi];
         let mut best = (0usize, 0usize, f64::NEG_INFINITY);
         for s_lo in 0..n_lo {
             let gl = &g_lo[s_lo * n_paths..(s_lo + 1) * n_paths];
@@ -565,7 +547,6 @@ impl LinkGainCache {
                 for ((&base, &l), &h) in entry.paths.base_lin.iter().zip(gl).zip(gh) {
                     sum += base * l * h;
                 }
-                lin[s_lo * n_hi + s_hi] = sum;
                 if sum > best.2 {
                     best = (s_lo, s_hi, sum);
                 }
@@ -578,20 +559,8 @@ impl LinkGainCache {
             stamp,
             n_lo,
             n_hi,
-            lin,
             best,
         }
-    }
-
-    /// The memoized sector-pair table (canonical orientation) if one is
-    /// current for devices `(a_idx, b_idx)`; for inspection and tests.
-    pub fn sector_table_lin(&self, a_idx: usize, b_idx: usize) -> Option<&[f64]> {
-        let (lo, hi) = if a_idx < b_idx {
-            (a_idx, b_idx)
-        } else {
-            (b_idx, a_idx)
-        };
-        self.tables.get(&(lo, hi)).map(|t| t.lin.as_slice())
     }
 }
 
@@ -726,7 +695,7 @@ mod tests {
     #[test]
     fn matches_brute_force_both_directions() {
         let (env, nodes) = scene();
-        let mut cache = LinkGainCache::with_mode(CacheMode::Cached);
+        let mut cache = LinkGainCache::with_ctx(&SimCtx::new());
         let pa = pat(18.0, 12.0);
         let pb = pat(14.0, 20.0);
         let fwd = cache.link_gain_lin(
@@ -765,7 +734,7 @@ mod tests {
     #[test]
     fn second_lookup_is_a_hit_with_identical_value() {
         let (env, nodes) = scene();
-        let mut cache = LinkGainCache::with_mode(CacheMode::Cached);
+        let mut cache = LinkGainCache::with_ctx(&SimCtx::new());
         let p = pat(16.0, 15.0);
         let q = pat(10.0, 30.0);
         let first =
@@ -780,7 +749,7 @@ mod tests {
     #[test]
     fn rotation_invalidates_only_touching_pairs_and_keeps_paths() {
         let (env, nodes) = scene();
-        let mut cache = LinkGainCache::with_mode(CacheMode::Cached);
+        let mut cache = LinkGainCache::with_ctx(&SimCtx::new());
         let p = pat(16.0, 15.0);
         // Warm all three pairs.
         for (s, d) in [(0usize, 1usize), (0, 2), (1, 2)] {
@@ -814,7 +783,7 @@ mod tests {
     #[test]
     fn move_invalidates_paths_of_touching_pairs_only() {
         let (env, nodes) = scene();
-        let mut cache = LinkGainCache::with_mode(CacheMode::Cached);
+        let mut cache = LinkGainCache::with_ctx(&SimCtx::new());
         let p = pat(16.0, 15.0);
         for (s, d) in [(0usize, 1usize), (0, 2), (1, 2)] {
             cache.link_gain_lin(&env, &nodes[s], s, PatId(0), &p, &nodes[d], d, PatId(0), &p);
@@ -841,7 +810,7 @@ mod tests {
         let p = pat(18.0, 10.0);
         let q = pat(12.0, 25.0);
         let run = |mode: CacheMode| {
-            let mut cache = LinkGainCache::with_mode(mode);
+            let mut cache = LinkGainCache::with_ctx(&SimCtx::with_cache_mode(mode));
             let mut out = Vec::new();
             for _ in 0..3 {
                 out.push(cache.link_gain_lin(
@@ -879,7 +848,7 @@ mod tests {
         let array_b = PhasedArray::new(ArrayConfig::wigig_2x8(111));
         let cb_b = Codebook::directional(&cb_ctx, &array_b, 9, 50f64.to_radians());
 
-        let mut cache = LinkGainCache::with_mode(CacheMode::Cached);
+        let mut cache = LinkGainCache::with_ctx(&SimCtx::new());
         let (sa, sb, lin) = cache.best_sector_pair(&env, &nodes[0], 0, &cb_a, &nodes[1], 1, &cb_b);
 
         // Exhaustive unmemoized sweep.
@@ -917,7 +886,7 @@ mod tests {
         let (env, nodes) = scene();
         let array = PhasedArray::new(ArrayConfig::wigig_2x8(16));
         let cb = Codebook::directional_default(&SimCtx::new(), &array);
-        let mut cache = LinkGainCache::with_mode(CacheMode::Cached);
+        let mut cache = LinkGainCache::with_ctx(&SimCtx::new());
         let first = cache.best_sector_pair(&env, &nodes[0], 0, &cb, &nodes[1], 1, &cb);
         cache.bump_orientation(0);
         let mut rot = nodes[0].clone();
@@ -932,14 +901,13 @@ mod tests {
 
     #[test]
     fn mode_comes_from_the_construction_context() {
-        assert_eq!(LinkGainCache::new().mode(), CacheMode::Cached);
+        assert_eq!(
+            LinkGainCache::with_ctx(&SimCtx::new()).mode(),
+            CacheMode::Cached
+        );
         let bypass_ctx = SimCtx::with_cache_mode(CacheMode::Bypass);
         assert_eq!(
             LinkGainCache::with_ctx(&bypass_ctx).mode(),
-            CacheMode::Bypass
-        );
-        assert_eq!(
-            LinkGainCache::with_mode(CacheMode::Bypass).mode(),
             CacheMode::Bypass
         );
     }
@@ -966,7 +934,7 @@ mod tests {
         let a = RadioNode::new(0, "a", Point::new(1.0, 1.0), Angle::ZERO);
         let b = RadioNode::new(1, "b", Point::new(2.0, 1.0), Angle::ZERO);
         let p = AntennaPattern::isotropic(0.0);
-        let mut cache = LinkGainCache::with_mode(CacheMode::Cached);
+        let mut cache = LinkGainCache::with_ctx(&SimCtx::new());
         let g = cache.link_gain_lin(&env, &a, 0, PatId(0), &p, &b, 1, PatId(0), &p);
         assert!(g > 0.0);
         assert!(

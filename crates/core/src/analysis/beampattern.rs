@@ -164,22 +164,6 @@ pub fn measured_sll_db(points: &[ScanPoint]) -> Option<f64> {
     best
 }
 
-/// Combine multiple scans (linear average per position) — the paper
-/// averages one minute of frames per position.
-pub fn average_scans(scans: &[Vec<ScanPoint>]) -> Vec<ScanPoint> {
-    assert!(!scans.is_empty());
-    let n = scans[0].len();
-    (0..n)
-        .map(|i| {
-            let lin: f64 = scans.iter().map(|s| db_to_lin(s[i].power_dbm)).sum();
-            ScanPoint {
-                angle: scans[0][i].angle,
-                power_dbm: lin_to_db(lin / scans.len() as f64),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,14 +206,5 @@ mod tests {
         let norm = normalize(&scan);
         let max = norm.iter().map(|(_, v)| *v).fold(f64::MIN, f64::max);
         assert!(max.abs() < 1e-12);
-    }
-
-    #[test]
-    fn average_scans_reduces_noise() {
-        let a = synthetic_scan(-6.0);
-        let avg = average_scans(&[a.clone(), a.clone()]);
-        for (x, y) in a.iter().zip(&avg) {
-            assert!((x.power_dbm - y.power_dbm).abs() < 1e-9);
-        }
     }
 }

@@ -277,13 +277,6 @@ pub fn ids() -> impl Iterator<Item = &'static str> {
     REGISTRY.iter().map(|e| e.id)
 }
 
-/// Run one experiment by id in a fresh context. `None` for an unknown id.
-/// Callers that need the engine counters afterwards should build their own
-/// [`SimCtx`] and call [`Experiment::run`] directly.
-pub fn run(id: &str, quick: bool, seed: u64) -> Option<RunReport> {
-    find(id).map(|e| e.run(&SimCtx::new(), quick, seed))
-}
-
 #[cfg(test)]
 mod registry_tests {
     use super::*;

@@ -22,7 +22,7 @@
 //!   hardware.
 //! * [`experiments`] — one module per table/figure of the evaluation;
 //!   each returns a structured result and renders the same rows/series the
-//!   paper reports. The `experiments` binary runs them from the shell.
+//!   paper reports. `campaign --format report` runs them from the shell.
 //! * [`report`] — plain-text table/series/polar renderers shared by the
 //!   binaries.
 

@@ -45,16 +45,6 @@ impl Angle {
         self.0.to_degrees()
     }
 
-    /// Degrees in [0, 360) — convenient for table output.
-    pub fn degrees_0_360(self) -> f64 {
-        let d = self.degrees();
-        if d < 0.0 {
-            d + 360.0
-        } else {
-            d
-        }
-    }
-
     /// Unit vector pointing along this azimuth.
     pub fn unit(self) -> Vec2 {
         Vec2::from_angle(self.0)
@@ -156,12 +146,6 @@ mod tests {
         let a = Angle::from_degrees(90.0);
         let u = a.unit();
         assert!(u.x.abs() < EPS && (u.y - 1.0).abs() < EPS);
-    }
-
-    #[test]
-    fn degrees_0_360() {
-        assert!((Angle::from_degrees(-90.0).degrees_0_360() - 270.0).abs() < 1e-9);
-        assert!((Angle::from_degrees(90.0).degrees_0_360() - 90.0).abs() < 1e-9);
     }
 
     #[test]

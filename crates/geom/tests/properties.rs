@@ -9,6 +9,7 @@
 use mmwave_geom::{
     trace_paths, Angle, Material, PathKind, Point, Room, Segment, TraceConfig, Vec2, Wall,
 };
+use std::f64::consts::PI;
 
 const CASES: u64 = 128;
 
@@ -44,7 +45,7 @@ fn reflect_preserves_length() {
         if vx.abs() <= 1e-6 && vy.abs() <= 1e-6 {
             continue;
         }
-        let ang = g.f64_in(-3.14, 3.14);
+        let ang = g.f64_in(-PI, PI);
         let v = Vec2::new(vx, vy);
         let n = Vec2::from_angle(ang);
         let r = v.reflect(n);
@@ -66,7 +67,7 @@ fn mirror_involution() {
         let mut g = Gen::new(1_000 + case);
         let p = Point::new(g.coord(), g.coord());
         let a = Point::new(g.coord(), g.coord());
-        let d = Vec2::from_angle(g.f64_in(-3.14, 3.14));
+        let d = Vec2::from_angle(g.f64_in(-PI, PI));
         let m = p.mirror_across(a, d);
         let back = m.mirror_across(a, d);
         assert!(back.distance(p) < 1e-8, "case {case}");
@@ -90,10 +91,10 @@ fn angle_normalization() {
         let d1 = a.diff(b).radians();
         let d2 = b.diff(a).radians();
         // Antisymmetric except at the ±π boundary where both map to +π.
-        if d1.abs() < std::f64::consts::PI - 1e-9 {
+        if d1.abs() < PI - 1e-9 {
             assert!((d1 + d2).abs() < 1e-9, "case {case}");
         }
-        assert!(a.distance(b) <= std::f64::consts::PI + 1e-12, "case {case}");
+        assert!(a.distance(b) <= PI + 1e-12, "case {case}");
     }
 }
 

@@ -27,9 +27,11 @@
 //! use mmwave_channel::Environment;
 //! use mmwave_geom::{Angle, Point, Room};
 //! use mmwave_mac::{Device, Net, NetConfig};
+//! use mmwave_sim::ctx::SimCtx;
 //! use mmwave_sim::time::SimTime;
 //!
-//! let mut net = Net::new(Environment::new(Room::open_space()), NetConfig::default());
+//! let env = Environment::new(Room::open_space());
+//! let mut net = Net::with_ctx(env, NetConfig::default(), &SimCtx::new());
 //! let dock = net.add_device(Device::wigig_dock(
 //!     net.ctx(), "dock", Point::new(0.0, 0.0), Angle::ZERO, 13));
 //! let laptop = net.add_device(Device::wigig_laptop(

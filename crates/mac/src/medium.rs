@@ -80,7 +80,7 @@ impl SpatialState {
 }
 
 /// The medium arbiter.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Medium {
     active: Vec<ActiveTx>,
     next_id: u64,
@@ -100,24 +100,17 @@ pub struct Medium {
 }
 
 impl Medium {
-    /// An idle medium reporting into a fresh private context.
-    pub fn new() -> Medium {
-        Medium::default()
-    }
-
     /// An idle medium whose link-gain cache adopts `ctx`'s cache mode and
     /// streams its counters into `ctx`.
     pub fn with_ctx(ctx: &SimCtx) -> Medium {
         Medium {
+            active: Vec::new(),
+            next_id: 0,
             cache: LinkGainCache::with_ctx(ctx),
-            ..Medium::default()
+            last_heard_end: Vec::new(),
+            power_pool: Vec::new(),
+            spatial: None,
         }
-    }
-
-    /// An idle medium with an explicit link-gain cache mode (differential
-    /// tests compare Cached vs Bypass on a private context).
-    pub fn with_cache_mode(mode: mmwave_channel::CacheMode) -> Medium {
-        Medium::with_ctx(&SimCtx::with_cache_mode(mode))
     }
 
     /// Enable spatial pruning: pairs separated by a closed-zone boundary
@@ -170,11 +163,6 @@ impl Medium {
     /// The active coupling cutoff distance, if spatial pruning is enabled.
     pub fn spatial_cutoff_m(&self) -> Option<f64> {
         self.spatial.as_ref().map(|sp| sp.index.cutoff_m())
-    }
-
-    /// The active prune mode, if spatial pruning is enabled.
-    pub fn spatial_mode(&self) -> Option<PruneMode> {
-        self.spatial.as_ref().map(|sp| sp.mode)
     }
 
     /// Flush all cached geometry and gains (call after bulk scene edits;
@@ -489,7 +477,7 @@ mod tests {
     #[test]
     fn begin_tx_computes_strong_trained_power() {
         let (env, devices) = setup();
-        let mut m = Medium::new();
+        let mut m = Medium::with_ctx(&SimCtx::new());
         let offs = vec![0.0; devices.len()];
         let id = m.begin_tx(
             &env,
@@ -512,7 +500,7 @@ mod tests {
     #[test]
     fn energy_and_carrier_sense() {
         let (env, devices) = setup();
-        let mut m = Medium::new();
+        let mut m = Medium::with_ctx(&SimCtx::new());
         let offs = vec![0.0; devices.len()];
         assert!(!m.is_busy_for(1, -68.0));
         let id = m.begin_tx(
@@ -558,7 +546,7 @@ mod tests {
         }
         devices.push(dock_b);
         devices.push(laptop_b);
-        let mut m = Medium::new();
+        let mut m = Medium::with_ctx(&SimCtx::new());
         let offs = vec![0.0; devices.len()];
         let a = m.begin_tx(
             &env,
@@ -589,7 +577,7 @@ mod tests {
     #[test]
     fn half_duplex_violation_detected() {
         let (env, devices) = setup();
-        let mut m = Medium::new();
+        let mut m = Medium::with_ctx(&SimCtx::new());
         let offs = vec![0.0; devices.len()];
         // Dock sends to laptop; laptop starts sending back mid-frame.
         let a = m.begin_tx(
@@ -624,7 +612,7 @@ mod tests {
     #[test]
     fn extra_power_shifts_rx() {
         let (env, devices) = setup();
-        let mut m = Medium::new();
+        let mut m = Medium::with_ctx(&SimCtx::new());
         let base = m.rx_power_dbm(&env, &devices, 0, PatKey::Dir(16), 1, 0.0);
         let boosted = m.rx_power_dbm(&env, &devices, 0, PatKey::Dir(16), 1, 6.0);
         assert!((boosted - base - 6.0).abs() < 1e-9);
@@ -633,7 +621,7 @@ mod tests {
     #[test]
     fn path_cache_invalidation_changes_power_after_move() {
         let (env, mut devices) = setup();
-        let mut m = Medium::new();
+        let mut m = Medium::with_ctx(&SimCtx::new());
         let near = m.rx_power_dbm(&env, &devices, 0, PatKey::Dir(16), 1, 0.0);
         devices[1].node.position = Point::new(8.0, 0.0);
         // Without invalidation the cache returns stale geometry.
@@ -706,7 +694,7 @@ mod tests {
             assert_eq!(ctx.counters().spatial_pruned_pairs, 1, "{mode:?}");
             // Same-zone: never pruned, matches an unpruned medium to the bit.
             let in_room = m.rx_power_dbm(&env, &devices, 0, PatKey::Dir(16), 1, 0.0);
-            let mut plain = Medium::new();
+            let mut plain = Medium::with_ctx(&SimCtx::new());
             let reference = plain.rx_power_dbm(&env, &devices, 0, PatKey::Dir(16), 1, 0.0);
             assert_eq!(in_room.to_bits(), reference.to_bits(), "{mode:?}");
             assert_eq!(ctx.counters().spatial_pruned_pairs, 1, "{mode:?}");
@@ -803,7 +791,7 @@ mod tests {
     #[test]
     fn granular_position_bump_refreshes_only_that_device() {
         let (env, mut devices) = setup();
-        let mut m = Medium::new();
+        let mut m = Medium::with_ctx(&SimCtx::new());
         let near = m.rx_power_dbm(&env, &devices, 0, PatKey::Dir(16), 1, 0.0);
         devices[1].node.position = Point::new(8.0, 0.0);
         m.link_cache_mut().bump_position(1);

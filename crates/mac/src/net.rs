@@ -13,7 +13,7 @@ use crate::params::MacParams;
 use crate::scenario::{FaultKind, Scenario, ScenarioEvent, WorldMutation};
 use crate::txlog::{TxLog, TxLogEntry};
 use crate::{wigig, wihd};
-use mmwave_channel::{Ar1Fading, CacheMode, Environment, PerturbationProcess, RadioNode};
+use mmwave_channel::{Ar1Fading, Environment, PerturbationProcess, RadioNode};
 use mmwave_geom::{Angle, Point, PropPath, Segment};
 use mmwave_phy::{AntennaPattern, McsTable};
 use mmwave_sim::ctx::SimCtx;
@@ -184,12 +184,6 @@ pub struct Net {
 }
 
 impl Net {
-    /// Build an empty network in `env`, reporting into a fresh private
-    /// context.
-    pub fn new(env: Environment, cfg: NetConfig) -> Net {
-        Net::with_ctx(env, cfg, &SimCtx::new())
-    }
-
     /// Build an empty network wired to `ctx`: the event queue, the
     /// link-gain cache, the codebook cache of every device added later,
     /// and the scenario/fault counters all report into (and read policy
@@ -220,13 +214,6 @@ impl Net {
             per_memo: Vec::new(),
             noise_memo: None,
         }
-    }
-
-    /// Build an empty network with an explicit link-gain cache mode on a
-    /// private context — the constructor differential tests use so
-    /// Cached-vs-Bypass comparisons need no shared state.
-    pub fn with_cache_mode(env: Environment, cfg: NetConfig, mode: CacheMode) -> Net {
-        Net::with_ctx(env, cfg, &SimCtx::with_cache_mode(mode))
     }
 
     /// The simulation context this network reports into.
@@ -690,11 +677,6 @@ impl Net {
     /// Mutable transmission log (to set windows / clear).
     pub fn txlog_mut(&mut self) -> &mut TxLog {
         &mut self.txlog
-    }
-
-    /// The shared RNG (labelled substreams derive from the net seed).
-    pub fn rng_mut(&mut self) -> &mut SimRng {
-        &mut self.rng
     }
 
     // ------------------------------------------------------------------

@@ -43,15 +43,6 @@ impl DevStats {
             self.ack_timeouts as f64 / self.data_tx as f64
         }
     }
-
-    /// Retransmission ratio among transmitted data PPDUs.
-    pub fn retx_ratio(&self) -> f64 {
-        if self.data_tx == 0 {
-            0.0
-        } else {
-            self.data_retx as f64 / self.data_tx as f64
-        }
-    }
 }
 
 /// A folded MAC-level measurement the transport layer reads per flow —
@@ -78,7 +69,6 @@ mod tests {
     fn ratios_handle_zero() {
         let s = DevStats::default();
         assert_eq!(s.data_loss_ratio(), 0.0);
-        assert_eq!(s.retx_ratio(), 0.0);
     }
 
     #[test]
@@ -90,6 +80,5 @@ mod tests {
             ..Default::default()
         };
         assert!((s.data_loss_ratio() - 0.2).abs() < 1e-12);
-        assert!((s.retx_ratio() - 0.3).abs() < 1e-12);
     }
 }

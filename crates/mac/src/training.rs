@@ -7,7 +7,7 @@
 //! would only add noise-free repetitions of the same arithmetic).
 
 use crate::device::Device;
-use mmwave_channel::{CacheMode, Environment, LinkGainCache};
+use mmwave_channel::{Environment, LinkGainCache};
 use mmwave_phy::{lin_to_db, Codebook};
 
 /// Result of training a device pair.
@@ -32,21 +32,10 @@ fn codebook(dev: &Device) -> &Codebook {
 /// maximizes received power from `a` to `b` (reciprocity makes the same
 /// pair optimal in reverse, which is how real sector sweeps use it).
 ///
-/// Standalone entry point for callers without a long-lived [`Medium`]: it
-/// sweeps through a throwaway bypass-mode cache, so every call recomputes.
-/// Simulations retrain through [`best_pair_with`] and the medium's shared
-/// cache, where a repeat sweep over an unchanged pair is one table lookup.
-///
-/// [`Medium`]: crate::medium::Medium
-pub fn best_pair(env: &Environment, a: &Device, b: &Device) -> TrainingResult {
-    let mut scratch = LinkGainCache::with_mode(CacheMode::Bypass);
-    best_pair_with(&mut scratch, env, a, 0, b, 1)
-}
-
-/// [`best_pair`] over a shared [`LinkGainCache`]: the full sector-pair gain
-/// table is memoized per device pair (keyed by the explicit device indices),
-/// so retraining an unmoved, unrotated pair — and the reverse-direction
-/// sweep — costs one lookup. The maximum is taken over the cached table.
+/// The sweep runs over a shared [`LinkGainCache`] (in simulations, the
+/// medium's): the sector-pair gain table is memoized per device pair
+/// (keyed by the explicit device indices), so retraining an unmoved,
+/// unrotated pair — and the reverse-direction sweep — costs one lookup.
 pub fn best_pair_with(
     cache: &mut LinkGainCache,
     env: &Environment,
@@ -82,8 +71,15 @@ pub fn best_pair_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmwave_channel::CacheMode;
     use mmwave_geom::{Angle, Material, Point, Room, Segment};
     use mmwave_sim::ctx::SimCtx;
+
+    /// One standalone sweep through a throwaway bypass-mode cache.
+    fn best_pair(env: &Environment, a: &Device, b: &Device) -> TrainingResult {
+        let mut scratch = LinkGainCache::with_ctx(&SimCtx::with_cache_mode(CacheMode::Bypass));
+        best_pair_with(&mut scratch, env, a, 0, b, 1)
+    }
 
     #[test]
     fn training_picks_sectors_facing_each_other() {
@@ -207,7 +203,7 @@ mod tests {
             Angle::from_degrees(180.0),
             11,
         );
-        let mut cache = mmwave_channel::LinkGainCache::with_mode(CacheMode::Cached);
+        let mut cache = LinkGainCache::with_ctx(&SimCtx::new());
         let first = best_pair_with(&mut cache, &env, &a, 0, &b, 1);
         let again = best_pair_with(&mut cache, &env, &a, 0, &b, 1);
         // The reverse sweep reuses the same table with swapped sectors.

@@ -14,6 +14,7 @@ use mmwave_channel::{CacheMode, Environment};
 use mmwave_geom::{Angle, Material, Point, Room, Segment, Vec2, Wall};
 use mmwave_mac::{Device, FaultKind, Net, NetConfig, PatKey, Scenario, WorldMutation};
 use mmwave_phy::calib;
+use mmwave_sim::ctx::SimCtx;
 use mmwave_sim::rng::SimRng;
 use mmwave_sim::time::{SimDuration, SimTime};
 
@@ -35,7 +36,7 @@ fn build(mode: CacheMode, seed: u64) -> (Net, usize, usize, usize) {
         enable_fading: false,
         ..NetConfig::default()
     };
-    let mut net = Net::with_cache_mode(Environment::new(room), cfg, mode);
+    let mut net = Net::with_ctx(Environment::new(room), cfg, &SimCtx::with_cache_mode(mode));
     let dock = net.add_device(Device::wigig_dock(
         net.ctx(),
         "dock",

@@ -13,6 +13,7 @@ use mmwave_geom::{Angle, Material, Point, Room, Segment, Wall};
 use mmwave_mac::device::WigigState;
 use mmwave_mac::{Delivery, Device, FaultKind, Net, NetConfig, Scenario, WorldMutation};
 use mmwave_phy::calib;
+use mmwave_sim::ctx::SimCtx;
 use mmwave_sim::time::SimTime;
 
 fn cfg(seed: u64) -> NetConfig {
@@ -50,7 +51,7 @@ fn blocked_los_rig(seed: u64, walker_x: f64) -> (Net, usize, usize, usize) {
         "walker",
     );
     room.set_wall_enabled(walker, false);
-    let mut net = Net::new(Environment::new(room), cfg(seed));
+    let mut net = Net::with_ctx(Environment::new(room), cfg(seed), &SimCtx::new());
     let dock = net.add_device(Device::wigig_dock(
         net.ctx(),
         "dock",
@@ -136,7 +137,7 @@ fn blocker_during_discovery_sweep_defers_association() {
         Material::Human,
         "walker",
     );
-    let mut net = Net::new(Environment::new(room), cfg(6));
+    let mut net = Net::with_ctx(Environment::new(room), cfg(6), &SimCtx::new());
     let dock = net.add_device(Device::wigig_dock(
         net.ctx(),
         "dock",
@@ -190,7 +191,7 @@ fn full_blockage_without_reflection_breaks_link_cleanly() {
         "walker",
     );
     room.set_wall_enabled(walker, false);
-    let mut net = Net::new(Environment::new(room), cfg(7));
+    let mut net = Net::with_ctx(Environment::new(room), cfg(7), &SimCtx::new());
     let dock = net.add_device(Device::wigig_dock(
         net.ctx(),
         "dock",
@@ -246,7 +247,7 @@ fn fault_burst_on_healthy_channel_does_not_break_link() {
     // An injected frame-error burst with the channel physically fine: the
     // SNR gate must absorb the loss streaks (MCS fallback only) instead of
     // spending recovery budget or dropping the association.
-    let mut net = Net::new(Environment::new(Room::open_space()), cfg(8));
+    let mut net = Net::with_ctx(Environment::new(Room::open_space()), cfg(8), &SimCtx::new());
     let dock = net.add_device(Device::wigig_dock(
         net.ctx(),
         "dock",

@@ -4,6 +4,7 @@
 use mmwave_channel::Environment;
 use mmwave_geom::{Angle, Point, Room};
 use mmwave_mac::{Delivery, Device, FrameClass, Net, NetConfig};
+use mmwave_sim::ctx::SimCtx;
 use mmwave_sim::time::SimTime;
 
 fn quiet_cfg(seed: u64) -> NetConfig {
@@ -16,7 +17,7 @@ fn quiet_cfg(seed: u64) -> NetConfig {
 
 /// A dock at the origin facing +x and a laptop 2 m away facing back.
 fn two_m_link(cfg: NetConfig) -> (Net, usize, usize) {
-    let mut net = Net::new(Environment::new(Room::open_space()), cfg);
+    let mut net = Net::with_ctx(Environment::new(Room::open_space()), cfg, &SimCtx::new());
     let dock = net.add_device(Device::wigig_dock(
         net.ctx(),
         "dock",
@@ -55,7 +56,11 @@ fn discovery_leads_to_association() {
 #[test]
 fn discovery_sweep_repeats_at_102_4_ms_when_alone() {
     // No peer in range: the dock keeps sweeping at the Table 1 period.
-    let mut net = Net::new(Environment::new(Room::open_space()), quiet_cfg(1));
+    let mut net = Net::with_ctx(
+        Environment::new(Room::open_space()),
+        quiet_cfg(1),
+        &SimCtx::new(),
+    );
     let dock = net.add_device(Device::wigig_dock(
         net.ctx(),
         "dock",
@@ -224,7 +229,11 @@ fn short_link_uses_mcs11() {
 
 #[test]
 fn long_link_uses_lower_mcs() {
-    let mut net = Net::new(Environment::new(Room::open_space()), quiet_cfg(8));
+    let mut net = Net::with_ctx(
+        Environment::new(Room::open_space()),
+        quiet_cfg(8),
+        &SimCtx::new(),
+    );
     let dock = net.add_device(Device::wigig_dock(
         net.ctx(),
         "dock",
@@ -258,7 +267,11 @@ fn long_link_uses_lower_mcs() {
 
 #[test]
 fn out_of_range_link_never_associates() {
-    let mut net = Net::new(Environment::new(Room::open_space()), quiet_cfg(9));
+    let mut net = Net::with_ctx(
+        Environment::new(Room::open_space()),
+        quiet_cfg(9),
+        &SimCtx::new(),
+    );
     let dock = net.add_device(Device::wigig_dock(
         net.ctx(),
         "dock",
@@ -286,7 +299,11 @@ fn out_of_range_link_never_associates() {
 
 #[test]
 fn wihd_beacons_every_224_us_and_video_flows() {
-    let mut net = Net::new(Environment::new(Room::open_space()), quiet_cfg(10));
+    let mut net = Net::with_ctx(
+        Environment::new(Room::open_space()),
+        quiet_cfg(10),
+        &SimCtx::new(),
+    );
     let tx = net.add_device(Device::wihd_source(
         net.ctx(),
         "hdmi tx",
@@ -323,7 +340,11 @@ fn wihd_beacons_every_224_us_and_video_flows() {
 
 #[test]
 fn wihd_duty_cycle_near_46_percent() {
-    let mut net = Net::new(Environment::new(Room::open_space()), quiet_cfg(11));
+    let mut net = Net::with_ctx(
+        Environment::new(Room::open_space()),
+        quiet_cfg(11),
+        &SimCtx::new(),
+    );
     let tx = net.add_device(Device::wihd_source(
         net.ctx(),
         "hdmi tx",
@@ -356,7 +377,11 @@ fn wihd_duty_cycle_near_46_percent() {
 
 #[test]
 fn video_off_silences_data_but_not_beacons() {
-    let mut net = Net::new(Environment::new(Room::open_space()), quiet_cfg(12));
+    let mut net = Net::with_ctx(
+        Environment::new(Room::open_space()),
+        quiet_cfg(12),
+        &SimCtx::new(),
+    );
     let tx = net.add_device(Device::wihd_source(
         net.ctx(),
         "hdmi tx",
@@ -392,7 +417,11 @@ fn two_wigig_links_coexist_via_carrier_sense() {
     // Two parallel dock links 3 m apart: CSMA shares the medium without
     // persistent loss (§3.2: "The Dell D5000 systems do not interfere with
     // each other since they use CSMA/CA").
-    let mut net = Net::new(Environment::new(Room::open_space()), quiet_cfg(13));
+    let mut net = Net::with_ctx(
+        Environment::new(Room::open_space()),
+        quiet_cfg(13),
+        &SimCtx::new(),
+    );
     let dock_a = net.add_device(Device::wigig_dock(
         net.ctx(),
         "dock A",
@@ -455,12 +484,13 @@ fn deterministic_given_seed() {
     // MCS, so different seeds produce different traces while equal seeds
     // reproduce exactly.
     let run = |seed: u64| {
-        let mut net = Net::new(
+        let mut net = Net::with_ctx(
             Environment::new(Room::open_space()),
             NetConfig {
                 seed,
                 ..NetConfig::default()
             },
+            &SimCtx::new(),
         );
         let dock = net.add_device(Device::wigig_dock(
             net.ctx(),
@@ -511,7 +541,11 @@ fn bidirectional_traffic() {
 
 #[test]
 fn monitor_sees_nothing_when_idle() {
-    let mut net = Net::new(Environment::new(Room::open_space()), quiet_cfg(15));
+    let mut net = Net::with_ctx(
+        Environment::new(Room::open_space()),
+        quiet_cfg(15),
+        &SimCtx::new(),
+    );
     let _dock = net.add_device(Device::wigig_dock(
         net.ctx(),
         "dock",
@@ -613,7 +647,11 @@ fn broken_link_reassociates_when_conditions_recover() {
 fn wihd_pairs_through_discovery() {
     // The WiHD source sweeps shuffled discovery frames every 20 ms until
     // its sink responds; after pairing the beacon grid starts.
-    let mut net = Net::new(Environment::new(Room::open_space()), quiet_cfg(19));
+    let mut net = Net::with_ctx(
+        Environment::new(Room::open_space()),
+        quiet_cfg(19),
+        &SimCtx::new(),
+    );
     let tx = net.add_device(Device::wihd_source(
         net.ctx(),
         "hdmi tx",
@@ -644,7 +682,11 @@ fn wihd_discovery_order_is_shuffled() {
     // §4.2: the WiHD sweep order "changes with every transmitted device
     // discovery frame" (which is why the paper could not measure its
     // quasi-omni patterns).
-    let mut net = Net::new(Environment::new(Room::open_space()), quiet_cfg(20));
+    let mut net = Net::with_ctx(
+        Environment::new(Room::open_space()),
+        quiet_cfg(20),
+        &SimCtx::new(),
+    );
     let tx = net.add_device(Device::wihd_source(
         net.ctx(),
         "hdmi tx",

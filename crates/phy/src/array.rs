@@ -449,7 +449,9 @@ impl PhasedArray {
     }
 
     /// The weight vector of a quasi-omni entry: only the elements listed in
-    /// `active` radiate, with the given (quantized) phases.
+    /// `active` radiate, with the given (quantized) phases. Few active
+    /// elements → wide beam; their interference produces the
+    /// characteristic gaps of Fig. 16.
     pub fn quasi_omni_weights(&self, active: &[(usize, f64)]) -> Vec<Complex> {
         assert!(!active.is_empty());
         let mut weights = vec![Complex::default(); self.config.columns];
@@ -458,13 +460,6 @@ impl PhasedArray {
             weights[idx] = Complex::polar(1.0, self.config.shifter.quantize(phase));
         }
         weights
-    }
-
-    /// A quasi-omni pattern: only the elements listed in `active` radiate,
-    /// with the given (quantized) phases. Few active elements → wide beam;
-    /// their interference produces the characteristic gaps of Fig. 16.
-    pub fn quasi_omni_pattern(&self, active: &[(usize, f64)]) -> AntennaPattern {
-        self.pattern_from_weights(&self.quasi_omni_weights(active))
     }
 }
 
@@ -596,7 +591,7 @@ mod tests {
     fn quasi_omni_is_wider_than_directional() {
         let arr = PhasedArray::new(ArrayConfig::wigig_2x8(1));
         let dir = arr.steered_pattern(Angle::ZERO);
-        let qo = arr.quasi_omni_pattern(&[(3, 0.0), (4, 0.8)]);
+        let qo = arr.pattern_from_weights(&arr.quasi_omni_weights(&[(3, 0.0), (4, 0.8)]));
         assert!(
             qo.hpbw() > dir.hpbw() * 1.5,
             "qo {} dir {}",

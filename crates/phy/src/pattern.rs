@@ -279,15 +279,6 @@ impl AntennaPattern {
             samples_lin: OnceLock::new(),
         }
     }
-
-    /// Azimuthal directivity estimate: peak linear gain over the circular
-    /// average of linear gain. For sanity checks on synthesized patterns.
-    pub fn directivity_db(&self) -> f64 {
-        let lin: Vec<f64> = self.samples.iter().map(|g| 10f64.powf(g / 10.0)).collect();
-        let avg = lin.iter().sum::<f64>() / lin.len() as f64;
-        let peak = lin.iter().cloned().fold(f64::MIN, f64::max);
-        10.0 * (peak / avg).log10()
-    }
 }
 
 #[cfg(test)]
@@ -404,13 +395,5 @@ mod tests {
             assert!(i0 < p.len() && i1 < p.len(), "indices in range for {deg}");
             assert!((0.0..1.0 + 1e-12).contains(&frac), "frac {frac} for {deg}");
         }
-    }
-
-    #[test]
-    fn directivity_increases_with_focus() {
-        let wide =
-            AntennaPattern::from_fn(720, |a| 10.0 - a.distance(Angle::ZERO).to_degrees() / 10.0);
-        let narrow = AntennaPattern::from_fn(720, |a| 10.0 - a.distance(Angle::ZERO).to_degrees());
-        assert!(narrow.directivity_db() > wide.directivity_db());
     }
 }

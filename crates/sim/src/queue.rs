@@ -307,10 +307,11 @@ impl<E> TimerWheel<E> {
 /// and O(1) cancellation.
 ///
 /// ```
+/// use mmwave_sim::ctx::SimCtx;
 /// use mmwave_sim::queue::EventQueue;
 /// use mmwave_sim::time::SimTime;
 ///
-/// let mut q = EventQueue::new();
+/// let mut q = EventQueue::with_ctx(&SimCtx::new());
 /// let a = q.schedule(SimTime::from_micros(10), "a");
 /// let _b = q.schedule(SimTime::from_micros(5), "b");
 /// q.cancel(a);
@@ -330,19 +331,7 @@ pub struct EventQueue<E> {
     ctx: SimCtx,
 }
 
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<E> EventQueue<E> {
-    /// An empty queue streaming counters into a fresh private context.
-    /// Simulations that report counters build through [`Self::with_ctx`].
-    pub fn new() -> Self {
-        Self::with_ctx(&SimCtx::new())
-    }
-
     /// An empty queue streaming its counter updates (pops, cancels, depth
     /// watermark) into `ctx`.
     pub fn with_ctx(ctx: &SimCtx) -> Self {
@@ -453,7 +442,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_ctx(&SimCtx::new());
         q.schedule(t(30), 3);
         q.schedule(t(10), 1);
         q.schedule(t(20), 2);
@@ -465,7 +454,7 @@ mod tests {
 
     #[test]
     fn equal_times_pop_fifo() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_ctx(&SimCtx::new());
         for i in 0..100 {
             q.schedule(t(5), i);
         }
@@ -476,7 +465,7 @@ mod tests {
 
     #[test]
     fn cancel_removes_event() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_ctx(&SimCtx::new());
         let a = q.schedule(t(1), "a");
         q.schedule(t(2), "b");
         assert!(q.cancel(a));
@@ -487,7 +476,7 @@ mod tests {
 
     #[test]
     fn double_cancel_returns_false() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_ctx(&SimCtx::new());
         let a = q.schedule(t(1), ());
         assert!(q.cancel(a));
         assert!(!q.cancel(a));
@@ -495,7 +484,7 @@ mod tests {
 
     #[test]
     fn cancel_after_pop_leaves_later_events_alone() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_ctx(&SimCtx::new());
         let a = q.schedule(t(1), ());
         assert_eq!(q.pop(), Some((t(1), ())));
         // The event already fired; the queue does not track that, so the
@@ -509,7 +498,7 @@ mod tests {
 
     #[test]
     fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_ctx(&SimCtx::new());
         let a = q.schedule(t(1), 1);
         q.schedule(t(5), 2);
         q.cancel(a);
@@ -570,7 +559,7 @@ mod tests {
 
     #[test]
     fn len_tracks_live_events() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_ctx(&SimCtx::new());
         assert!(q.is_empty());
         let a = q.schedule(t(1), ());
         let _ = q.schedule(t(2), ());
@@ -598,7 +587,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order_across_wheel_levels() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_ctx(&SimCtx::new());
         // Spans all wheel levels: sub-slot, same-level, and far-future
         // timestamps, scheduled out of order.
         let times = [
@@ -632,7 +621,7 @@ mod tests {
     fn wheel_schedules_into_current_slot_after_pops() {
         // After the cursor has advanced, schedule events at, before, and
         // just after the cursor; all must still pop in (at, seq) order.
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_ctx(&SimCtx::new());
         q.schedule(SimTime::from_nanos(1 << 20), 0);
         assert_eq!(q.pop(), Some((SimTime::from_nanos(1 << 20), 0)));
         q.schedule(SimTime::from_nanos((1 << 20) + 10), 1);
@@ -650,7 +639,7 @@ mod tests {
     fn wheel_interleaves_pops_and_far_schedules() {
         // Repeatedly pop the front and schedule strictly later events so
         // the cursor jumps across level boundaries many times.
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_ctx(&SimCtx::new());
         let mut at = 1u64;
         q.schedule(SimTime::from_nanos(at), 0);
         for i in 1..200u64 {
@@ -663,7 +652,7 @@ mod tests {
 
     #[test]
     fn equal_times_pop_fifo_after_advance() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_ctx(&SimCtx::new());
         q.schedule(t(50), 0);
         assert!(q.pop().is_some());
         for i in 1..=64u64 {

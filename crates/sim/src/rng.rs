@@ -127,14 +127,6 @@ impl SimRng {
         (self.inner.next_u64() >> 32) as u32
     }
 
-    /// Fill `dest` with random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let v = self.inner.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
-    }
-
     /// Uniform draw in `[0, 1)` with 53 bits of precision.
     pub fn f64(&mut self) -> f64 {
         (self.inner.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -222,22 +214,6 @@ mod tests {
             let v = r.f64();
             assert!((0.0..1.0).contains(&v), "f64 out of range: {v}");
         }
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut r = SimRng::root(4).stream("bytes");
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        // Same stream refilled produces the same bytes.
-        let mut r2 = SimRng::root(4).stream("bytes");
-        let mut buf2 = [0u8; 13];
-        r2.fill_bytes(&mut buf2);
-        assert_eq!(buf, buf2);
-        assert!(
-            buf.iter().any(|&b| b != 0),
-            "13 zero bytes is vanishingly unlikely"
-        );
     }
 
     #[test]

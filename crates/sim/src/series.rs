@@ -3,9 +3,9 @@
 //! Several paper figures are value-versus-time plots (Fig. 12 PHY rate,
 //! Fig. 14 amplitude + rate over 80 minutes, Fig. 23 TCP throughput around
 //! the WiHD power-off). [`TimeSeries`] is the recorder those experiments
-//! write into, with the resampling helpers the report renderers need.
+//! write into, with the windowed readers the report renderers need.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// An append-only `(time, value)` series. Appends must be in non-decreasing
 /// time order (the engine guarantees handlers run in time order).
@@ -66,68 +66,6 @@ impl TimeSeries {
         let slice = &self.points[lo..hi];
         Some(slice.iter().map(|&(_, v)| v).sum::<f64>() / slice.len() as f64)
     }
-
-    /// Resample into fixed bins of width `bin` covering `[from, to)`,
-    /// averaging the samples in each bin; empty bins carry the previous
-    /// bin's value forward (or the sample-and-hold value at the bin start).
-    /// Returns `(bin_start, value)` pairs.
-    pub fn resample(&self, from: SimTime, to: SimTime, bin: SimDuration) -> Vec<(SimTime, f64)> {
-        assert!(!bin.is_zero(), "zero bin width");
-        let mut out = Vec::new();
-        let mut t = from;
-        let mut last = self.sample_hold(from).unwrap_or(0.0);
-        while t < to {
-            let end = (t + bin).min(to);
-            let v = self.mean_in(t, end).unwrap_or(last);
-            out.push((t, v));
-            last = v;
-            t = end;
-        }
-        out
-    }
-
-    /// Time-weighted average over `[from, to)` under sample-and-hold
-    /// interpolation. Used for e.g. mean PHY rate over a campaign.
-    pub fn time_weighted_mean(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        if to <= from {
-            return None;
-        }
-        let mut acc = 0.0;
-        let mut covered = SimDuration::ZERO;
-        let mut cur_t = from;
-        let mut cur_v = self.sample_hold(from);
-        let start_idx = self.points.partition_point(|&(pt, _)| pt <= from);
-        for &(pt, pv) in &self.points[start_idx..] {
-            if pt >= to {
-                break;
-            }
-            if let Some(v) = cur_v {
-                let span = pt - cur_t;
-                acc += v * span.as_secs_f64();
-                covered += span;
-            }
-            cur_t = pt;
-            cur_v = Some(pv);
-        }
-        if let Some(v) = cur_v {
-            let span = to - cur_t;
-            acc += v * span.as_secs_f64();
-            covered += span;
-        }
-        if covered.is_zero() {
-            None
-        } else {
-            Some(acc / covered.as_secs_f64())
-        }
-    }
-
-    /// Minimum and maximum values. `None` if empty.
-    pub fn value_range(&self) -> Option<(f64, f64)> {
-        self.points.iter().fold(None, |acc, &(_, v)| match acc {
-            None => Some((v, v)),
-            Some((lo, hi)) => Some((lo.min(v), hi.max(v))),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -162,40 +100,5 @@ mod tests {
         assert_eq!(s.mean_in(t(10), t(31)), Some(7.0 / 3.0));
         assert_eq!(s.mean_in(t(10), t(30)), Some(1.5));
         assert_eq!(s.mean_in(t(0), t(10)), None);
-    }
-
-    #[test]
-    fn resample_fills_gaps_with_hold() {
-        let s = series();
-        let bins = s.resample(t(0), t(50), SimDuration::from_millis(10));
-        assert_eq!(bins.len(), 5);
-        // Bin [0,10) is empty and before any sample -> 0.0 default.
-        assert_eq!(bins[0].1, 0.0);
-        assert_eq!(bins[1].1, 1.0);
-        assert_eq!(bins[2].1, 2.0);
-        assert_eq!(bins[3].1, 4.0);
-        assert_eq!(bins[4].1, 4.0); // held
-    }
-
-    #[test]
-    fn time_weighted_mean_weights_by_span() {
-        let mut s = TimeSeries::new();
-        s.push(t(0), 10.0);
-        s.push(t(90), 20.0);
-        // 90 ms at 10.0, 10 ms at 20.0 -> 11.0
-        let m = s.time_weighted_mean(t(0), t(100)).expect("covered");
-        assert!((m - 11.0).abs() < 1e-9, "{m}");
-    }
-
-    #[test]
-    fn time_weighted_mean_before_first_sample_is_none() {
-        let s = series();
-        assert_eq!(s.time_weighted_mean(t(0), t(5)), None);
-    }
-
-    #[test]
-    fn value_range() {
-        assert_eq!(series().value_range(), Some((1.0, 4.0)));
-        assert_eq!(TimeSeries::new().value_range(), None);
     }
 }

@@ -1,9 +1,10 @@
 //! Small statistics toolkit shared by the analysis crates.
 //!
 //! Everything here mirrors what the paper's Matlab post-processing needs:
-//! empirical CDFs of frame lengths (Fig. 9), mean ± 95 % confidence interval
-//! throughput (the 550 ± 18 Mb/s NLoS result), and busy/idle time accounting
-//! for the threshold-based link-utilization estimates (Figs. 11 and 22).
+//! empirical CDFs of frame lengths (Fig. 9), running mean and standard
+//! deviation of throughput (the 550 ± 18 Mb/s NLoS result), and busy/idle
+//! time accounting for the threshold-based link-utilization estimates
+//! (Figs. 11 and 22).
 
 use crate::time::{SimDuration, SimTime};
 
@@ -159,17 +160,6 @@ impl OnlineStats {
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
-
-    /// Half-width of the 95 % confidence interval on the mean, using the
-    /// normal approximation (1.96 · s/√n). Good enough for n ≥ ~30, which
-    /// all our campaigns satisfy.
-    pub fn ci95(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            1.96 * self.std_dev() / (self.n as f64).sqrt()
-        }
-    }
 }
 
 /// Accumulates busy time on a shared medium, merging overlapping busy
@@ -241,65 +231,6 @@ impl BusyTracker {
     }
 }
 
-/// Linear histogram over a fixed range; used for amplitude clustering in the
-/// capture crate and for sanity plots.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// A histogram of `nbins` equal-width bins over `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, nbins: usize) -> Self {
-        assert!(lo < hi && nbins > 0);
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; nbins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Insert one sample.
-    pub fn add(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let idx = ((x - self.lo) / (self.hi - self.lo) * self.bins.len() as f64) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Raw bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Center of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        self.lo + (i as f64 + 0.5) * w
-    }
-
-    /// Samples that fell below/above the range.
-    pub fn out_of_range(&self) -> (u64, u64) {
-        (self.underflow, self.overflow)
-    }
-
-    /// Total in-range samples.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,7 +276,6 @@ mod tests {
         assert!((s.mean() - 5.0).abs() < 1e-12);
         // Unbiased variance of this classic dataset is 32/7.
         assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert!(s.ci95() > 0.0);
     }
 
     #[test]
@@ -389,19 +319,5 @@ mod tests {
         b.add(t(20), t(30)); // fully contained
         assert_eq!(b.intervals().len(), 1);
         assert_eq!(b.busy_within(t(0), t(100)), SimDuration::from_micros(100));
-    }
-
-    #[test]
-    fn histogram_bins_and_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.add(i as f64 + 0.5);
-        }
-        h.add(-1.0);
-        h.add(11.0);
-        assert!(h.bins().iter().all(|&c| c == 1));
-        assert_eq!(h.out_of_range(), (1, 1));
-        assert_eq!(h.total(), 10);
-        assert!((h.bin_center(0) - 0.5).abs() < 1e-12);
     }
 }

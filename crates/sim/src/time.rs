@@ -74,23 +74,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked addition of a duration; `None` on overflow.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
-
-    /// The next instant at or after `self` that is a whole multiple of
-    /// `period` (used for aligning periodic frames like beacons).
-    pub fn align_up(self, period: SimDuration) -> SimTime {
-        assert!(period.0 > 0, "align_up: zero period");
-        let rem = self.0 % period.0;
-        if rem == 0 {
-            self
-        } else {
-            SimTime(self.0 + (period.0 - rem))
-        }
-    }
 }
 
 impl SimDuration {
@@ -340,24 +323,6 @@ mod tests {
         let bits = d.bits_at(2_310_000_000);
         // Rounding up the duration can only gain bits, never lose them.
         assert!((123_456..=123_456 + 3).contains(&bits), "{bits}");
-    }
-
-    #[test]
-    fn align_up() {
-        let p = SimDuration::from_micros(100);
-        assert_eq!(SimTime::from_nanos(0).align_up(p), SimTime::from_nanos(0));
-        assert_eq!(
-            SimTime::from_nanos(1).align_up(p),
-            SimTime::from_micros(100)
-        );
-        assert_eq!(
-            SimTime::from_micros(100).align_up(p),
-            SimTime::from_micros(100)
-        );
-        assert_eq!(
-            SimTime::from_micros(101).align_up(p),
-            SimTime::from_micros(200)
-        );
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! (the workspace builds offline, so no proptest). Failures print the case
 //! seed, which reproduces the exact inputs.
 
+use mmwave_sim::ctx::SimCtx;
 use mmwave_sim::queue::EventQueue;
 use mmwave_sim::rng::SimRng;
 use mmwave_sim::stats::{BusyTracker, Cdf, OnlineStats};
@@ -20,7 +21,7 @@ fn queue_pops_sorted_and_stable() {
         let mut r = SimRng::root(case).stream("queue-sorted");
         let n = 1 + (r.next_u64() % 199) as usize;
         let times: Vec<u64> = (0..n).map(|_| r.next_u64() % 1_000).collect();
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_ctx(&SimCtx::new());
         for (i, &t) in times.iter().enumerate() {
             q.schedule(SimTime::from_nanos(t), i);
         }
@@ -46,7 +47,7 @@ fn queue_cancellation_exact() {
         let n = 1 + (r.next_u64() % 99) as usize;
         let times: Vec<u64> = (0..n).map(|_| r.next_u64() % 1_000).collect();
         let mask: Vec<bool> = (0..100).map(|_| r.chance(0.5)).collect();
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_ctx(&SimCtx::new());
         let ids: Vec<_> = times
             .iter()
             .enumerate()

@@ -11,6 +11,7 @@
 //! requires the full observable transcript (pop results, peek times,
 //! cancel return values, lengths) to match exactly.
 
+use mmwave_sim::ctx::SimCtx;
 use mmwave_sim::queue::{EventId, EventQueue};
 use mmwave_sim::rng::SimRng;
 use mmwave_sim::time::SimTime;
@@ -91,7 +92,7 @@ struct Pair {
 impl Pair {
     fn new() -> Pair {
         Pair {
-            wheel: EventQueue::new(),
+            wheel: EventQueue::with_ctx(&SimCtx::new()),
             heap: HeapQueue::default(),
             ids: Vec::new(),
             transcript: 0,

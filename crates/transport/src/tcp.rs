@@ -256,16 +256,10 @@ pub enum TcpAction {
 }
 
 impl TcpFlow {
-    /// Create a flow with a private context (unit tests, benches);
-    /// transmission begins on the first `on_timer` / `pump` call.
-    pub fn new(id: u16, cfg: TcpConfig, now: SimTime) -> TcpFlow {
-        let ctx = SimCtx::new();
-        TcpFlow::with_ctx(id, cfg, now, &ctx)
-    }
-
     /// Create a flow whose congestion plane reports into `ctx`. The
     /// algorithm resolves as: explicit [`TcpConfig::cc`], else the context
-    /// override ([`cc::install_override`]), else Reno.
+    /// override ([`cc::install_override`]), else Reno. Transmission begins
+    /// on the first `on_timer` / `pump` call.
     pub fn with_ctx(id: u16, cfg: TcpConfig, now: SimTime, ctx: &SimCtx) -> TcpFlow {
         let kind = cfg
             .cc
@@ -784,7 +778,7 @@ mod tests {
             bottleneck: None,
             ..TcpConfig::bulk(0, 1, window)
         };
-        TcpFlow::new(1, cfg, SimTime::ZERO)
+        TcpFlow::with_ctx(1, cfg, SimTime::ZERO, &SimCtx::new())
     }
 
     #[test]
@@ -1014,7 +1008,7 @@ mod tests {
             total_bytes: None,
             ..TcpConfig::bulk(0, 1, 1 << 24)
         };
-        let mut f = TcpFlow::new(7, cfg, SimTime::ZERO);
+        let mut f = TcpFlow::with_ctx(7, cfg, SimTime::ZERO, &SimCtx::new());
         let burst = f.pump(SimTime::ZERO, 0).len();
         assert_eq!(burst, 4, "initial window before any rate model");
         // Deliver an RTT sample: 4 segments over 1 ms → the algorithm
@@ -1045,7 +1039,7 @@ mod tests {
             cc: Some(crate::cc::CcKind::RateProbe),
             ..TcpConfig::paced(0, 1, 12_000_000)
         };
-        let mut f = TcpFlow::new(3, cfg, SimTime::ZERO);
+        let mut f = TcpFlow::with_ctx(3, cfg, SimTime::ZERO, &SimCtx::new());
         f.pump(SimTime::ZERO, 0);
         // Install a cc rate far below the app pace: the cc pacer is now
         // the binding constraint.
@@ -1080,7 +1074,7 @@ mod tests {
 
     #[test]
     fn finished_when_total_acked() {
-        let mut f = TcpFlow::new(
+        let mut f = TcpFlow::with_ctx(
             1,
             TcpConfig {
                 total_bytes: Some(4500),
@@ -1088,6 +1082,7 @@ mod tests {
                 ..TcpConfig::bulk(0, 1, 1 << 20)
             },
             SimTime::ZERO,
+            &SimCtx::new(),
         );
         let actions = f.pump(SimTime::ZERO, 0);
         assert_eq!(actions.len(), 3, "exactly ceil(4500/1500) segments");
@@ -1104,7 +1099,7 @@ mod tests {
             ..TcpConfig::paced(0, 1, 12_000_000)
         };
         // 12 Mb/s → one 1500 B segment per ms.
-        let mut f = TcpFlow::new(2, cfg, SimTime::ZERO);
+        let mut f = TcpFlow::with_ctx(2, cfg, SimTime::ZERO, &SimCtx::new());
         let a0 = f.pump(SimTime::ZERO, 0);
         assert_eq!(a0.len(), 1, "pacing admits one segment");
         assert!(f.pump(SimTime::from_micros(500), 0).is_empty());

@@ -3,17 +3,19 @@
 use mmwave_channel::Environment;
 use mmwave_geom::{Angle, Point, Room};
 use mmwave_mac::{Device, Net, NetConfig};
+use mmwave_sim::ctx::SimCtx;
 use mmwave_sim::time::{SimDuration, SimTime};
 use mmwave_transport::{Stack, TcpConfig};
 
 fn link_stack(seed: u64, distance_m: f64) -> (Stack, usize, usize) {
-    let mut net = Net::new(
+    let mut net = Net::with_ctx(
         Environment::new(Room::open_space()),
         NetConfig {
             seed,
             enable_fading: false,
             ..NetConfig::default()
         },
+        &SimCtx::new(),
     );
     let dock = net.add_device(Device::wigig_dock(
         net.ctx(),
@@ -129,13 +131,14 @@ fn reverse_direction_flow_works() {
 
 #[test]
 fn two_flows_share_two_links() {
-    let mut net = Net::new(
+    let mut net = Net::with_ctx(
         Environment::new(Room::open_space()),
         NetConfig {
             seed: 8,
             enable_fading: false,
             ..NetConfig::default()
         },
+        &SimCtx::new(),
     );
     let dock_a = net.add_device(Device::wigig_dock(
         net.ctx(),

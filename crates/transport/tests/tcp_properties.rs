@@ -5,6 +5,7 @@
 //! streams with fixed seeds (no proptest — the workspace builds offline).
 //! Failures print the case number, which reproduces the exact script.
 
+use mmwave_sim::ctx::SimCtx;
 use mmwave_sim::rng::SimRng;
 use mmwave_sim::time::SimTime;
 use mmwave_transport::tcp::TcpAction;
@@ -45,7 +46,7 @@ fn tcp_invariants_hold() {
             ..TcpConfig::bulk(0, 1, window_kb * 1024)
         };
         let mss = cfg.mss;
-        let mut flow = TcpFlow::new(1, cfg, SimTime::ZERO);
+        let mut flow = TcpFlow::with_ctx(1, cfg, SimTime::ZERO, &SimCtx::new());
         let mut now = SimTime::ZERO;
         // Segments "in flight" between sender and receiver.
         let mut air: Vec<u64> = Vec::new();
@@ -143,7 +144,7 @@ fn lossless_channel_completes() {
             total_bytes: Some(total_segs * 1500),
             ..TcpConfig::bulk(0, 1, 1 << 20)
         };
-        let mut flow = TcpFlow::new(1, cfg, SimTime::ZERO);
+        let mut flow = TcpFlow::with_ctx(1, cfg, SimTime::ZERO, &SimCtx::new());
         let mut now = SimTime::ZERO;
         let mut air: std::collections::VecDeque<u64> = Default::default();
         for _ in 0..10_000 {

@@ -11,6 +11,7 @@ use mmwave_channel::Environment;
 use mmwave_geom::{Angle, Point, Room};
 use mmwave_mac::{Device, Net, NetConfig};
 use mmwave_phy::AntennaPattern;
+use mmwave_sim::ctx::SimCtx;
 use mmwave_sim::time::SimTime;
 use mmwave_transport::{Stack, TcpConfig};
 
@@ -21,12 +22,13 @@ struct Link {
 }
 
 fn build(with_wihd: bool, seed: u64) -> (Stack, Vec<Link>, Vec<u16>, usize) {
-    let mut net = Net::new(
+    let mut net = Net::with_ctx(
         Environment::new(Room::open_space()),
         NetConfig {
             seed,
             ..NetConfig::default()
         },
+        &SimCtx::new(),
     );
     // Three desks in a row, 2.5 m apart, links running "north".
     let mut links = Vec::new();

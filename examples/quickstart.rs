@@ -9,18 +9,20 @@ use mmwave_channel::Environment;
 use mmwave_core::analysis::frame_level;
 use mmwave_geom::{Angle, Point, Room};
 use mmwave_mac::{Device, Net, NetConfig};
+use mmwave_sim::ctx::SimCtx;
 use mmwave_sim::time::{SimDuration, SimTime};
 use mmwave_transport::{Stack, TcpConfig};
 
 fn main() {
     // 1. An open-space environment and two devices 2 m apart.
     let env = Environment::new(Room::open_space());
-    let mut net = Net::new(
+    let mut net = Net::with_ctx(
         env,
         NetConfig {
             seed: 42,
             ..NetConfig::default()
         },
+        &SimCtx::new(),
     );
     let dock = net.add_device(Device::wigig_dock(
         net.ctx(),

@@ -68,6 +68,11 @@ cargo test -q --release -p mmwave-capture --test properties
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> cargo clippy --all-targets"
+# Every target, tests and benches included, must get through clippy:
+# deny-level lints fail the gate, warnings stay warnings.
+cargo clippy --all-targets -q
+
 echo "==> forbidden-pattern gate (ambient state)"
 # All per-run state must live in mmwave_sim::ctx::SimCtx. Thread-locals
 # and mutable statics reintroduce the cross-task bleed the context
@@ -79,6 +84,31 @@ violations=$(grep -rn 'thread_local!\|static mut' crates/ --include='*.rs' \
     | grep -vE ':[0-9]+:\s*//' || true)
 if [[ -n "$violations" ]]; then
     echo "forbidden ambient-state pattern found (use SimCtx instead):"
+    echo "$violations"
+    exit 1
+fi
+
+echo "==> forbidden-pattern gate (context creation)"
+# Every simulator type is built from the SimCtx its caller passes in, so
+# its counters land where a campaign reads them. Library code creates a
+# context in two places only: the per-task context in
+# campaign/src/runner.rs and the codebook-prebuild scratch in
+# phy/src/codebook.rs. Code after a file's first #[cfg(test)], comments
+# and the CLI binaries are exempt.
+violations=$(find crates/*/src -name '*.rs' -not -path '*/src/bin/*' \
+        -not -path crates/campaign/src/runner.rs \
+        -not -path crates/phy/src/codebook.rs | sort \
+    | xargs awk '
+        FNR == 1 { live = 1 }
+        /#\[cfg\(test\)\]/ { live = 0 }
+        {
+            code = $0
+            sub(/\/\/.*/, "", code)
+            if (live && code ~ /SimCtx::(new|with_cache_mode)\(/)
+                print FILENAME ":" FNR ": " $0
+        }')
+if [[ -n "$violations" ]]; then
+    echo "SimCtx created outside the task runner (take the caller's &SimCtx instead):"
     echo "$violations"
     exit 1
 fi
@@ -154,7 +184,7 @@ check_no_alloc crates/channel/src/linkgain.rs weighted_sum
 echo "==> cc_compare quick experiment"
 # The congestion plane's end-to-end check: loss-based and rate-based
 # algorithms must diverge through a blockage transient.
-cargo run --release -q -p mmwave-campaign --bin experiments -- --quick cc_compare
+cargo run --release -q -p mmwave-campaign --bin campaign -- --quick --format report cc_compare
 
 if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
     echo "==> scripts/bench_check.sh"

@@ -179,7 +179,7 @@ fn human_blockage_triggers_realignment_rescue() {
         "side wall",
     ));
     let env = mmwave_channel::Environment::new(room);
-    let mut net = mmwave_mac::Net::new(env, quiet(21));
+    let mut net = mmwave_mac::Net::with_ctx(env, quiet(21), &SimCtx::new());
     let dock = net.add_device(mmwave_mac::Device::wigig_dock(
         net.ctx(),
         "dock",
