@@ -52,10 +52,12 @@ fn bench_event_queue() {
     // Dense interleaved timers across 64 flows. Each flow keeps three
     // events in flight at once — a short-period pacer, a long RTO that
     // every pacer fire cancels and pushes back, and a MAC slot boundary
-    // — which is the steady-state shape the transport/MAC co-simulation
-    // feeds the queue. Rescheduling happens at pop time, so the wheel's
-    // near-future slots, cascade path and lazy-cancellation set all stay
-    // hot together.
+    // — the timer mix the transport/MAC co-simulation feeds the queue,
+    // at 192 pending events: deeper than any paper experiment (41 or
+    // fewer at seed 1 in quick mode, `fig22`/`fig23` 17 or fewer; only
+    // `enterprise`, at 336, goes past it). Rescheduling happens at pop
+    // time, so heap sifts and the lazy-cancellation set stay hot
+    // together.
     bench("event_queue/dense_timers_64flows", || {
         const FLOWS: u64 = 64;
         let mut q = EventQueue::with_ctx(&SimCtx::new());
@@ -524,7 +526,7 @@ fn bench_mac_second() {
     // One context across iterations: what we measure is the MAC idle
     // link, not codebook synthesis (bench_array_synthesis covers cold).
     let ctx = SimCtx::new();
-    bench("mac/idle_link_100ms", move || {
+    let r = bench("mac/idle_link_100ms", move || {
         let mut net = Net::with_ctx(
             Environment::new(Room::open_space()),
             NetConfig {
@@ -552,6 +554,15 @@ fn bench_mac_second() {
         net.run_until(SimTime::from_millis(100));
         net.txlog().len()
     });
+    // Allocation events are deterministic, so the budget is exact: a new
+    // `Net` plus 100 ms of beacons costs IDLE_LINK_ALLOCS and no more (the
+    // event queue's heap reuses its buffer).
+    const IDLE_LINK_ALLOCS: f64 = 52.0;
+    assert!(
+        r.allocs_per_iter <= IDLE_LINK_ALLOCS,
+        "mac/idle_link_100ms: {} allocations per iteration, budget {IDLE_LINK_ALLOCS}",
+        r.allocs_per_iter
+    );
 }
 
 fn bench_tcp_second() {

@@ -28,6 +28,13 @@
 //!   `json` (the manifest JSON)
 //! * `--list`      list registered experiments and exit
 //!
+//! The `table` footer also counts the campaign's shared results (e.g.
+//! `shared results: 8 computed, 24 reused` for the Figs. 9–11 sweep
+//! consumers at 8 seeds): how often a task computed a sub-result other
+//! tasks reuse, and how often one was reused. The counts cover the
+//! in-process pool only; with `--workers N` each worker subprocess holds
+//! its own pool and keeps its own counts, so the line is left out.
+//!
 //! `campaign worker` is the subprocess datapath the control plane spawns
 //! for `--workers N`: it executes framed tasks from stdin onto stdout
 //! (see `mmwave_campaign::proto`) and is not meant for interactive use.
@@ -40,6 +47,7 @@
 use mmwave_campaign::control::{self, ControlOpts};
 use mmwave_campaign::{artifact, worker, CampaignConfig, CampaignResult, RunStatus};
 use mmwave_core::experiments::{self, Experiment};
+use mmwave_sim::shared::SharedStats;
 
 struct Cli {
     jobs: usize,
@@ -245,7 +253,7 @@ fn main() {
     let result = summary.result;
 
     match cli.format {
-        Format::Table => print_table(&result),
+        Format::Table => print_table(&result, &summary.shared),
         Format::Report => print_report(&result),
         Format::Json => print!("{}", artifact::manifest_to_json(&result).render()),
     }
@@ -255,7 +263,7 @@ fn main() {
     }
 }
 
-fn print_table(result: &CampaignResult) {
+fn print_table(result: &CampaignResult, shared: &SharedStats) {
     println!(
         "{:<8} {:>6} {:>10} {:>12} {:>10} {:>9}  status",
         "id", "seed", "wall ms", "events", "cancelled", "peak q"
@@ -288,6 +296,12 @@ fn print_table(result: &CampaignResult) {
         shape_failed,
         panicked
     );
+    if result.workers == 0 {
+        println!(
+            "shared results: {} computed, {} reused",
+            shared.computed, shared.reused
+        );
+    }
 }
 
 fn print_report(result: &CampaignResult) {

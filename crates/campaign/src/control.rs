@@ -48,6 +48,7 @@ use std::time::Instant;
 use crate::manifest::{self, ChunkEntry, Manifest, ManifestWriter};
 use crate::proto::{self, Msg};
 use crate::{artifact, runner, CampaignConfig, CampaignResult, RunRecord, RunStatus, TaskSpec};
+use mmwave_sim::shared::{SharedResults, SharedStats};
 
 /// Execution knobs for the control plane.
 #[derive(Clone, Debug, Default)]
@@ -79,6 +80,10 @@ pub struct ControlSummary {
     /// `(experiment, seed)` cells actually executed this invocation, in
     /// matrix order.
     pub executed: Vec<(String, u64)>,
+    /// Fills and reuses of the in-process pool's shared results. Zero
+    /// with `workers > 0`: each worker subprocess holds its own pool and
+    /// keeps its own counts.
+    pub shared: SharedStats,
 }
 
 /// A record tagged with its matrix cell `(exp_index, seed)`.
@@ -131,7 +136,7 @@ pub fn run(
         }
         executed.push((key, record));
     }
-    pool.join();
+    let shared = pool.join();
     assert_eq!(
         executed.len(),
         expected,
@@ -170,6 +175,7 @@ pub fn run(
         manifest_path,
         resumed: resumed_keys,
         executed: executed_keys,
+        shared,
     })
 }
 
@@ -259,7 +265,11 @@ fn spawn_worker_procs(
                 .expect("spawn worker dispatch thread"),
         );
     }
-    Ok(runner::ThreadPool { records, handles })
+    Ok(runner::ThreadPool {
+        records,
+        handles,
+        shared: Arc::new(SharedResults::default()),
+    })
 }
 
 fn sorted_keys(records: &[Keyed]) -> Vec<(String, u64)> {

@@ -21,8 +21,14 @@
 //! * **Determinism** — results are bitwise identical for any worker count
 //!   and any scheduling order: each task's randomness is a pure function
 //!   of `(experiment id, seed)` (experiments fork labelled `SimRng`
-//!   substreams from the seed; nothing is shared between tasks), and
-//!   records are re-sorted into matrix order before artifacts are written.
+//!   substreams from the seed), and records are re-sorted into matrix
+//!   order before artifacts are written.
+//! * **Shared results** — the one thing tasks share is the campaign pool
+//!   ([`mmwave_phy::CodebookPrebuild`]): prebuilt codebooks plus
+//!   deterministic sub-results computed once per key (the Figs. 9–11 TCP
+//!   sweep runs once per seed, not once per consumer). Each key names
+//!   everything its fill reads, and a reuse replays the fill's counters,
+//!   so which task filled an entry never shows in an artifact.
 //! * **Isolation** — a panicking experiment is caught with
 //!   `catch_unwind`, reported as a failed [`RunRecord`], and the campaign
 //!   keeps going; partial failure surfaces as a nonzero exit from the

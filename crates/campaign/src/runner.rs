@@ -7,7 +7,8 @@
 //! Each worker:
 //!
 //! 1. builds a fresh [`SimCtx`] for the task (private counters, an empty
-//!    codebook cache, the campaign-wide prebuilt codebook pool),
+//!    codebook cache, the campaign-wide [`CodebookPrebuild`] pool with its
+//!    prebuilt codebooks and shared results),
 //! 2. runs the experiment under `catch_unwind` (a panic becomes a
 //!    [`RunStatus::Panicked`] record, not a dead campaign),
 //! 3. snapshots wall time + the context's scheduler counters into a
@@ -18,7 +19,8 @@
 //!
 //! Determinism: a task's result depends only on `(experiment id, seed,
 //! quick)` — experiments derive all randomness from the seed via labelled
-//! `SimRng` substreams and share no mutable state across tasks — and the
+//! `SimRng` substreams, and the only state tasks share is the pool's
+//! deterministic results, keyed by everything their fill reads — and the
 //! collected records are re-sorted into matrix order. Worker count and
 //! scheduling therefore cannot change any byte of any artifact, only the
 //! wall-time metadata.
@@ -32,6 +34,7 @@ use crate::control::{self, ControlOpts};
 use crate::{CampaignConfig, CampaignResult, RunRecord, RunStatus, TaskSpec};
 use mmwave_phy::CodebookPrebuild;
 use mmwave_sim::ctx::SimCtx;
+use mmwave_sim::shared::{SharedResults, SharedStats};
 
 /// Run the campaign matrix in memory on the in-process pool; blocks until
 /// every task completed.
@@ -51,11 +54,14 @@ pub(crate) struct ThreadPool {
     /// Completed records in completion (not matrix) order.
     pub(crate) records: mpsc::Receiver<((usize, u64), RunRecord)>,
     pub(crate) handles: Vec<std::thread::JoinHandle<()>>,
+    /// The shared results the threads' tasks fill and reuse. Subprocess
+    /// workers hold their own, so this one stays empty for them.
+    pub(crate) shared: Arc<SharedResults>,
 }
 
 impl ThreadPool {
-    /// LPT-sort `tasks`, prebuild the shared codebook pool, and start
-    /// `jobs` worker threads draining the queue.
+    /// LPT-sort `tasks`, prebuild the campaign pool, and start `jobs`
+    /// worker threads draining the queue.
     pub(crate) fn spawn(mut tasks: Vec<TaskSpec>, jobs: usize) -> ThreadPool {
         silence_worker_panics();
 
@@ -63,13 +69,14 @@ impl ThreadPool {
         // stable, so within a tier the matrix order is preserved.
         tasks.sort_by_key(|t| std::cmp::Reverse(t.exp.cost));
 
-        // Campaign-wide codebook prebuild: pay the cold sector synthesis
-        // for the canonical device arrays exactly once, before any worker
-        // starts, and share the frozen pool into every task's context.
-        // Per-task counters stay a pure function of the task (the pool's
-        // contents depend on nothing a task does), so artifacts remain
-        // deterministic.
+        // Campaign-wide pool: pay the cold sector synthesis for the
+        // canonical device arrays exactly once, before any worker starts,
+        // and install the pool into every task's context. Per-task
+        // counters stay a pure function of the task (the frozen codebooks
+        // depend on nothing a task does, and shared results replay their
+        // fill's counters), so artifacts remain deterministic.
         let prebuild = CodebookPrebuild::standard_devices();
+        let shared = Arc::clone(prebuild.shared());
 
         let (task_tx, task_rx) = mpsc::channel::<TaskSpec>();
         for t in tasks {
@@ -94,15 +101,18 @@ impl ThreadPool {
         ThreadPool {
             records: rec_rx,
             handles,
+            shared,
         }
     }
 
-    /// Join every worker thread. Call after draining [`Self::records`].
-    pub(crate) fn join(self) {
+    /// Join every worker thread and report what the shared results did.
+    /// Call after draining [`Self::records`].
+    pub(crate) fn join(self) -> SharedStats {
         for w in self.handles {
             w.join()
                 .expect("campaign worker infrastructure must not panic");
         }
+        self.shared.stats()
     }
 }
 
@@ -127,8 +137,8 @@ fn worker_loop(
 }
 
 /// Execute one matrix cell, isolating panics and collecting metrics, with
-/// a campaign-wide prebuilt codebook pool installed into the task's
-/// context before the experiment runs.
+/// the campaign-wide pool (prebuilt codebooks and shared results)
+/// installed into the task's context before the experiment runs.
 pub fn run_task_prebuilt(task: &TaskSpec, pool: &CodebookPrebuild) -> RunRecord {
     // A fresh context per task: the counters and the codebook cache are
     // born empty, so the counters (and thus artifact bytes) are a pure

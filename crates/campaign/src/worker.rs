@@ -1,6 +1,7 @@
 //! The worker datapath: one `campaign worker` subprocess.
 //!
-//! A worker is a dumb, stateless executor: it reads framed [`Msg::Task`]
+//! A worker is a dumb executor (its one state is the campaign pool
+//! below): it reads framed [`Msg::Task`]
 //! messages from stdin, runs each on a **private** [`SimCtx`] (fresh per
 //! task, exactly like the in-process thread pool — so artifact bytes stay
 //! a pure function of the task no matter which process ran it), and
@@ -18,7 +19,10 @@
 //! The worker pays [`CodebookPrebuild::standard_devices`] once at
 //! startup, mirroring the campaign-wide prebuild of the in-process pool:
 //! per-task `codebook_prebuilt_hits` counters — and therefore artifact
-//! bytes — are identical in both datapaths.
+//! bytes — are identical in both datapaths. The pool's shared results
+//! live as long as the worker, so the tasks one worker runs share them
+//! as the in-process pool's threads do; reuses replay their fill's
+//! counters, so which process computed a result never shows either.
 //!
 //! stdout is the protocol channel, so the experiment layer must never
 //! print to it (experiments render into `RunReport::output` strings by

@@ -50,6 +50,17 @@ fn table_is_the_default_format() {
         "id", "seed", "wall ms", "events", "cancelled", "peak q"
     );
     assert!(text.starts_with(&header), "{text}");
+    assert!(
+        text.ends_with("\nshared results: 0 computed, 0 reused\n"),
+        "{text}"
+    );
+}
+
+#[test]
+fn table_footer_leaves_out_shared_results_with_worker_subprocesses() {
+    let text = stdout_of(&["--workers", "2", "--quick", "table1"]);
+    assert!(text.contains(" panicked\n"), "footer printed: {text}");
+    assert!(!text.contains("shared results"), "{text}");
 }
 
 #[test]

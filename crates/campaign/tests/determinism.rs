@@ -7,10 +7,11 @@ use mmwave_campaign::{artifact, runner, CampaignConfig};
 use mmwave_core::experiments;
 
 /// Cheap experiments only: this is about scheduling, not physics.
-/// fig09/fig11 share a per-context TCP-sweep cache; with one fresh
-/// context per task each run recomputes its sweep from scratch, so their
-/// presence asserts those counters stay byte-identical regardless of
-/// which worker runs them.
+/// fig09/fig11 read one TCP sweep per seed from the campaign's shared
+/// results; whichever runs first computes it and the other replays its
+/// counters, so their presence asserts those counters stay
+/// byte-identical regardless of which worker, or which of the two,
+/// filled the sweep.
 fn quick_subset() -> Vec<&'static experiments::Experiment> {
     ["table1", "fig03", "fig08", "fig15", "fig09", "fig11"]
         .iter()

@@ -312,16 +312,10 @@ impl LinkGainCache {
     ) -> (f64, f64) {
         debug_assert_ne!(src_idx, dst_idx, "self-link has no radiometric meaning");
         self.ensure_device(src_idx.max(dst_idx));
-        let src_is_lo = src_idx < dst_idx;
-        let (lo, hi) = if src_is_lo {
-            (src_idx, dst_idx)
-        } else {
-            (dst_idx, src_idx)
-        };
-        let (lo_node, hi_node) = if src_is_lo { (src, dst) } else { (dst, src) };
-
-        self.ensure_pair(env, lo, lo_node, hi, hi_node);
-
+        // The gain entry is checked before the pair: an entry whose stamp
+        // matches was computed after the pair was interned at these very
+        // position generations, so on a cached hit the pair probe would
+        // be a no-op.
         let stamp: Stamp = (
             self.pos_gen[src_idx],
             self.orient_gen[src_idx],
@@ -329,7 +323,7 @@ impl LinkGainCache {
             self.orient_gen[dst_idx],
         );
         let gkey = (src_idx, dst_idx, src_pat.0, dst_pat.0);
-        let hit = match self.gains.get(&gkey) {
+        match self.gains.get(&gkey) {
             Some(g) if g.stamp == stamp => {
                 let (lin, db) = (g.lin, g.db);
                 self.stats.gain_hits += 1;
@@ -340,14 +334,21 @@ impl LinkGainCache {
                 // Bypass: fall through and recompute; the interned inputs
                 // are identical, so a correct cache yields a bit-identical
                 // value.
-                true
             }
-            _ => false,
-        };
-        if !hit {
-            self.stats.gain_misses += 1;
-            self.ctx.bump(Counter::LinkGainMisses);
+            _ => {
+                self.stats.gain_misses += 1;
+                self.ctx.bump(Counter::LinkGainMisses);
+            }
         }
+
+        let src_is_lo = src_idx < dst_idx;
+        let (lo, hi) = if src_is_lo {
+            (src_idx, dst_idx)
+        } else {
+            (dst_idx, src_idx)
+        };
+        let (lo_node, hi_node) = if src_is_lo { (src, dst) } else { (dst, src) };
+        self.ensure_pair(env, lo, lo_node, hi, hi_node);
 
         let (lo_orient, hi_orient) = (self.orient_gen[lo], self.orient_gen[hi]);
         let entry = self.pairs.get_mut(&(lo, hi)).expect("pair interned above");
@@ -744,6 +745,9 @@ mod tests {
         assert_eq!(first.to_bits(), second.to_bits());
         let s = cache.stats();
         assert_eq!((s.gain_misses, s.gain_hits), (1, 1));
+        // The warm hit answered from the gain entry alone: no path trace
+        // beyond the cold lookup's.
+        assert_eq!(s.path_traces, 1);
     }
 
     #[test]

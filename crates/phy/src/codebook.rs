@@ -18,6 +18,7 @@ use crate::array::{ArrayFingerprint, Complex, PhasedArray, SynthScratch};
 use mmwave_geom::Angle;
 use mmwave_sim::ctx::SimCtx;
 use mmwave_sim::metrics::Counter;
+use mmwave_sim::shared::SharedResults;
 use std::cell::RefCell;
 use std::f64::consts::PI;
 use std::sync::Arc;
@@ -85,23 +86,31 @@ struct CodebookStore {
 /// two codebooks) untouched.
 const CACHE_CAP: usize = 64;
 
-/// Read-only pool of pre-synthesized codebooks, shareable across contexts
-/// and threads.
+/// The campaign-scoped pool: pre-synthesized codebooks plus the
+/// campaign's [`SharedResults`], shareable across contexts and threads.
 ///
 /// A campaign of N tasks otherwise pays the cold sector synthesis once
 /// *per task* — each task's context is born with an empty codebook cache
 /// by design (per-task counters must not depend on worker scheduling).
-/// The pool keeps that determinism contract: it is built **once, before
-/// any task runs**, is immutable afterwards (`Arc` of a frozen entry
-/// list), and is installed into every task's context. A task's cache then
-/// resolves a miss from the pool — recorded as a *prebuilt hit*, a pure
-/// function of the task itself — instead of synthesizing.
+/// The pool keeps that determinism contract: its codebooks are built
+/// **once, before any task runs**, are immutable afterwards (`Arc` of a
+/// frozen entry list), and the pool is installed into every task's
+/// context. A task's cache then resolves a miss from the pool — recorded
+/// as a *prebuilt hit*, a pure function of the task itself — instead of
+/// synthesizing.
 ///
-/// Everything inside is plain data behind `Arc`s, so the pool is `Send +
-/// Sync` and workers share one copy.
+/// The shared results are the lazily filled half: deterministic
+/// sub-results several tasks need (the Figs. 9–11 TCP sweep), computed
+/// once per key by whichever task needs them first. Their users key
+/// them by everything the fill reads and replay the fill's counter delta
+/// on reuse, so they keep the same contract.
+///
+/// Everything inside sits behind `Arc`s and is `Send + Sync`, so workers
+/// share one copy: clones share both halves.
 #[derive(Clone, Default)]
 pub struct CodebookPrebuild {
     entries: Arc<Vec<(CacheKey, Codebook)>>,
+    shared: Arc<SharedResults>,
 }
 
 /// Per-context slot holding the installed prebuilt pool (empty until
@@ -146,6 +155,7 @@ impl CodebookPrebuild {
         let entries = store.entries.borrow().clone();
         CodebookPrebuild {
             entries: Arc::new(entries),
+            shared: Arc::default(),
         }
     }
 
@@ -176,9 +186,21 @@ impl CodebookPrebuild {
         self.entries.is_empty()
     }
 
+    /// The campaign's shared results (fill and reuse counts live here).
+    pub fn shared(&self) -> &Arc<SharedResults> {
+        &self.shared
+    }
+
+    /// The shared results of the pool installed in `ctx`, if any.
+    pub fn shared_of(ctx: &SimCtx) -> Option<Arc<SharedResults>> {
+        let slot = ctx.ext_or_insert_with(PrebuiltSlot::default);
+        slot.0.get().map(|pool| Arc::clone(&pool.shared))
+    }
+
     /// Install the pool into `ctx`: subsequent codebook-cache misses in
-    /// that context consult the pool before synthesizing. First install
-    /// wins; later installs on the same context are ignored (contexts are
+    /// that context consult the pool before synthesizing, and
+    /// [`Self::shared_of`] reaches the shared results. First install wins;
+    /// later installs on the same context are ignored (contexts are
     /// normally born, installed into, and discarded per task).
     pub fn install(&self, ctx: &SimCtx) {
         let slot = ctx.ext_or_insert_with(PrebuiltSlot::default);

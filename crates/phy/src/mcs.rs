@@ -79,12 +79,34 @@ impl Mcs {
     /// reality.
     pub fn per(&self, sinr_db: f64, bits: u64, noise_floor_dbm: f64) -> f64 {
         let thr = self.snr_threshold_db(noise_floor_dbm) + 0.5;
-        let p_ref = 1.0 / (1.0 + ((sinr_db - thr) / 0.25).exp());
-        // p_ref is calibrated for a 1500-byte MPDU; scale with length.
-        let scale = bits as f64 / 12_000.0;
-        let ok = (1.0 - p_ref).powf(scale.max(1e-6));
-        (1.0 - ok).clamp(0.0, 1.0)
+        per_at((sinr_db - thr) / 0.25, bits)
     }
+}
+
+/// Beyond this waterfall coordinate the logistic saturates exactly in
+/// `f64` (see [`per_at`]).
+const PER_SATURATION_X: f64 = 38.0;
+
+/// [`Mcs::per`] at waterfall coordinate `x = (sinr − thr) / 0.25`.
+///
+/// Far from the threshold the result is exact without `exp`/`powf`. For
+/// `x > 38`, `p_ref < 2⁻⁵⁴`, so `1 − p_ref` rounds to 1 and the PER is
+/// exactly 0. For `x < −38`, `1 + eˣ` rounds to 1, so `p_ref` is 1 and
+/// the PER is exactly 1. Both already hold from about |x| ≈ 37.5. Most
+/// evaluations land there: beacons through a quasi-omni pattern are
+/// either far above or far below threshold. NaN takes the full formula.
+fn per_at(x: f64, bits: u64) -> f64 {
+    if x > PER_SATURATION_X {
+        return 0.0;
+    }
+    if x < -PER_SATURATION_X {
+        return 1.0;
+    }
+    let p_ref = 1.0 / (1.0 + x.exp());
+    // p_ref is calibrated for a 1500-byte MPDU; scale with length.
+    let scale = bits as f64 / 12_000.0;
+    let ok = (1.0 - p_ref).powf(scale.max(1e-6));
+    (1.0 - ok).clamp(0.0, 1.0)
 }
 
 /// The full single-carrier table (plus control PHY).
@@ -165,6 +187,38 @@ mod tests {
     use super::*;
 
     const NOISE: f64 = -71.5; // 1.76 GHz BW, NF 10 dB
+
+    /// The PER formula without the saturation shortcut.
+    fn per_full_formula(x: f64, bits: u64) -> f64 {
+        let p_ref = 1.0 / (1.0 + x.exp());
+        let scale = bits as f64 / 12_000.0;
+        let ok = (1.0 - p_ref).powf(scale.max(1e-6));
+        (1.0 - ok).clamp(0.0, 1.0)
+    }
+
+    #[test]
+    fn per_saturation_is_bit_exact() {
+        // One ulp further from / closer to zero (sign-magnitude bits).
+        let outward = |v: f64| f64::from_bits(v.to_bits() + 1);
+        let inward = |v: f64| f64::from_bits(v.to_bits() - 1);
+        let edge = PER_SATURATION_X;
+        let mut xs: Vec<f64> = (-60 * 64..=60 * 64).map(|i| i as f64 / 64.0).collect();
+        for e in [edge, -edge] {
+            xs.extend([e, outward(e), inward(e)]);
+        }
+        xs.extend([f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
+        for bits in [1u64, 200, 300, 12_000, 600_000] {
+            for &x in &xs {
+                assert_eq!(
+                    per_at(x, bits).to_bits(),
+                    per_full_formula(x, bits).to_bits(),
+                    "x = {x}, bits = {bits}"
+                );
+            }
+        }
+        assert_eq!(per_at(outward(edge), 12_000), 0.0);
+        assert_eq!(per_at(outward(-edge), 12_000), 1.0);
+    }
 
     #[test]
     fn table_matches_standard_rates() {

@@ -13,9 +13,9 @@
 //! [`Counter`], the link-gain [`CacheMode`], and a small type-keyed
 //! extension map. The extension map solves the dependency direction:
 //! `mmwave-sim` sits at the bottom of the workspace and cannot name the
-//! codebook cache (`mmwave-phy`) or the TCP-sweep memo (`mmwave-core`), so
-//! downstream crates install their per-context stores via
-//! [`SimCtx::ext_or_insert_with`].
+//! codebook cache and campaign pool (`mmwave-phy`) or the
+//! congestion-control override (`mmwave-transport`), so downstream crates
+//! install their per-context stores via [`SimCtx::ext_or_insert_with`].
 //!
 //! Cloning a `SimCtx` clones the `Rc` — clones share counters and caches.
 //! A fresh context ([`SimCtx::new`]) shares nothing with any other.
@@ -49,8 +49,9 @@ struct CtxInner {
     counters: [Cell<u64>; Counter::COUNT],
     cache_mode: CacheMode,
     /// Type-keyed extension slots: downstream crates park their
-    /// per-context stores here (codebook cache, TCP-sweep memo). Linear
-    /// scan — a context carries a handful of slots at most.
+    /// per-context stores here (codebook cache, campaign pool, cc
+    /// override). Linear scan — a context carries a handful of slots at
+    /// most.
     ext: RefCell<Vec<(TypeId, Rc<dyn Any>)>>,
 }
 

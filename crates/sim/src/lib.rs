@@ -19,6 +19,8 @@
 //! [`ctx`] adds the explicit simulation context ([`SimCtx`]): the
 //! counter sink, cache-mode policy, and per-context cache slots that every
 //! layer above threads through instead of reaching for ambient state.
+//! [`shared`] is the one store that outlives a context: a campaign-scoped
+//! pool of deterministic results that several tasks need.
 //!
 //! [`stats`] and [`series`] hold the small statistics toolkit (CDFs,
 //! percentiles, confidence intervals, busy-time accounting, time series)
@@ -50,6 +52,7 @@ pub mod metrics;
 pub mod queue;
 pub mod rng;
 pub mod series;
+pub mod shared;
 pub mod stats;
 pub mod time;
 

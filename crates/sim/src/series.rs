@@ -55,17 +55,6 @@ impl TimeSeries {
         let idx = self.points.partition_point(|&(pt, _)| pt <= t);
         idx.checked_sub(1).map(|i| self.points[i].1)
     }
-
-    /// Mean of samples with `from <= t < to`. `None` if that window is empty.
-    pub fn mean_in(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        let lo = self.points.partition_point(|&(pt, _)| pt < from);
-        let hi = self.points.partition_point(|&(pt, _)| pt < to);
-        if hi <= lo {
-            return None;
-        }
-        let slice = &self.points[lo..hi];
-        Some(slice.iter().map(|&(_, v)| v).sum::<f64>() / slice.len() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -92,13 +81,5 @@ mod tests {
         assert_eq!(s.sample_hold(t(15)), Some(1.0));
         assert_eq!(s.sample_hold(t(25)), Some(2.0));
         assert_eq!(s.sample_hold(t(99)), Some(4.0));
-    }
-
-    #[test]
-    fn mean_in_window() {
-        let s = series();
-        assert_eq!(s.mean_in(t(10), t(31)), Some(7.0 / 3.0));
-        assert_eq!(s.mean_in(t(10), t(30)), Some(1.5));
-        assert_eq!(s.mean_in(t(0), t(10)), None);
     }
 }

@@ -1,15 +1,17 @@
-//! Differential test: the timer-wheel `EventQueue` must pop a
-//! byte-identical event order to a binary-heap reference model on
-//! randomized workloads.
+//! Differential test: `EventQueue` (a binary heap, a `U64Set` of
+//! tombstones and a peek memo) must pop a byte-identical event order to
+//! a plain reference model on randomized workloads.
 //!
-//! The model below is the queue's contract written the obvious way:
-//! sequential ids, `(at, seq)` min-order, lazy tombstones, and a `len`
-//! that every successful cancel decrements. This suite drives the wheel
-//! and the model with identical schedule/cancel/pop/peek interleavings —
-//! including equal-timestamp bursts, cancels of already-popped ids,
-//! double cancels, and timestamps spanning every wheel level — and
-//! requires the full observable transcript (pop results, peek times,
-//! cancel return values, lengths) to match exactly.
+//! The model below is the queue's contract written the obvious way: one
+//! heap of whole `(at, seq, payload)` entries, a `HashSet` of
+//! tombstones, sequential ids, `(at, seq)` min-order, and a `len` that
+//! every successful cancel decrements. This suite drives the queue (the
+//! `wheel` side of each `Pair`) and the model with identical
+//! schedule/cancel/pop/peek interleavings — including equal-timestamp
+//! bursts, cancels of already-popped ids, double cancels, and
+//! timestamps from nanoseconds to 2⁵⁰ ns apart — and requires the full
+//! observable transcript (pop results, peek times, cancel return values,
+//! lengths) to match exactly.
 
 use mmwave_sim::ctx::SimCtx;
 use mmwave_sim::queue::{EventId, EventQueue};
@@ -37,7 +39,7 @@ impl HeapQueue {
         seq
     }
 
-    /// Like the wheel, the model does not know which ids have fired: a
+    /// Like the queue, the model does not know which ids have fired: a
     /// cancel of a fired id plants a dead tombstone and reports true.
     fn cancel(&mut self, seq: u64) -> bool {
         let fresh = seq < self.next_seq && self.tombstones.insert(seq);
@@ -84,7 +86,7 @@ type Handle = u64;
 struct Pair {
     wheel: EventQueue<u64>,
     heap: HeapQueue,
-    /// Wheel ids in scheduling order.
+    /// Queue ids in scheduling order.
     ids: Vec<EventId>,
     transcript: usize,
 }
@@ -143,9 +145,9 @@ impl Pair {
     }
 }
 
-/// Timestamps drawn to stress every wheel level: mostly dense (µs-scale
-/// deltas around a moving "now"), sometimes bursty at one instant,
-/// sometimes far future (up to 2⁵⁰ ns ahead).
+/// Timestamps drawn across many orders of magnitude: mostly dense
+/// (µs-scale deltas around a moving "now"), sometimes bursty at one
+/// instant, sometimes far future (up to 2⁵⁰ ns ahead).
 fn random_time(rng: &mut SimRng, now: u64) -> SimTime {
     let shape = rng.next_u64() % 100;
     let delta = match shape {

@@ -26,9 +26,9 @@ echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
 echo "==> event-queue equivalence suite"
-# The timer-wheel scheduler must be indistinguishable from the
-# test-local binary-heap reference model: identical pop sequences,
-# peeks, cancel results and lengths under randomized
+# The event queue (binary heap, lazy tombstones, peek memo) must be
+# indistinguishable from the test-local reference model: identical pop
+# sequences, peeks, cancel results and lengths under randomized
 # schedule/cancel/pop scripts.
 cargo test -q --release -p mmwave-sim --test queue_equivalence
 
@@ -115,7 +115,7 @@ fi
 
 echo "==> forbidden-pattern gate (ad-hoc event queues)"
 # All event scheduling in the engines goes through
-# mmwave_sim::queue::EventQueue (timer-wheel backed, heap-verified). A
+# mmwave_sim::queue::EventQueue (heap backed, model-verified). A
 # BinaryHeap reappearing in the MAC or transport crates means a
 # datapath grew its own scheduler around the abstraction — and with it
 # its own tie-break rules, cancellation semantics, and counters.
