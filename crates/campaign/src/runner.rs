@@ -168,8 +168,8 @@ pub fn run_task_prebuilt(task: &TaskSpec, pool: &CodebookPrebuild) -> RunRecord 
                 RunStatus::ShapeFail
             };
             RunRecord {
-                experiment: report.id.to_string(),
-                title: report.title.to_string(),
+                experiment: task.exp.id.to_string(),
+                title: task.exp.title.to_string(),
                 seed: task.seed,
                 quick: task.quick,
                 scenario: task.exp.scenario.to_string(),
@@ -244,8 +244,6 @@ mod tests {
 
     fn passing(_ctx: &SimCtx, _q: bool, seed: u64) -> RunReport {
         RunReport {
-            id: "ok",
-            title: "ok",
             output: format!("seed={seed}"),
             violations: vec![],
         }
@@ -253,8 +251,6 @@ mod tests {
 
     fn failing(_ctx: &SimCtx, _q: bool, _s: u64) -> RunReport {
         RunReport {
-            id: "bad",
-            title: "bad",
             output: String::new(),
             violations: vec!["threshold off".into()],
         }
@@ -316,12 +312,10 @@ mod tests {
                 .iter()
                 .map(|r| (r.experiment.clone(), r.seed))
                 .collect();
-            // "a"/"b" pass `passing`, whose report id is "ok"; order is by
-            // matrix position, so seeds iterate within each experiment.
-            assert_eq!(
-                order.iter().map(|(_, s)| *s).collect::<Vec<_>>(),
-                vec![5, 9, 5, 9]
-            );
+            // Records carry the registry id; order is by matrix
+            // position, so seeds iterate within each experiment.
+            let want = [("a", 5), ("a", 9), ("b", 5), ("b", 9)];
+            assert_eq!(order, want.map(|(id, s)| (id.to_string(), s)));
         }
     }
 

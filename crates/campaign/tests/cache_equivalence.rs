@@ -2,7 +2,7 @@
 //! emitted byte. Each task runs twice, on a context with the cache
 //! enabled and on one in bypass mode (identical interning, stamping and
 //! counters, but values recomputed from first principles on every hit),
-//! and must report the same id, output and violations plus the same
+//! and must report the same output and violations plus the same
 //! engine counters — including the `engine.link_gain_*` counters, which
 //! fire identically in both modes by construction. Those are every
 //! artifact field the cache mode can reach. A stale entry surviving an
@@ -22,8 +22,8 @@ use mmwave_sim::metrics::EngineCounters;
 /// blockage with cache invalidations mid-run) to the matrix.
 const SUBSET: [&str; 5] = ["table1", "fig03", "fig08", "fig15", "dynblock"];
 
-/// A task's report id, output and violations, and its engine counters.
-type Outcome = (&'static str, String, Vec<String>, EngineCounters);
+/// A task's report output and violations, and its engine counters.
+type Outcome = (String, Vec<String>, EngineCounters);
 
 fn run(id: &str, seed: u64, mode: CacheMode, pool: &CodebookPrebuild) -> Outcome {
     let ctx = SimCtx::with_cache_mode(mode);
@@ -31,7 +31,7 @@ fn run(id: &str, seed: u64, mode: CacheMode, pool: &CodebookPrebuild) -> Outcome
     let report = experiments::find(id)
         .expect("registered")
         .run(&ctx, true, seed);
-    (report.id, report.output, report.violations, ctx.counters())
+    (report.output, report.violations, ctx.counters())
 }
 
 #[test]

@@ -263,40 +263,13 @@ impl LinkGainCache {
 
     /// Total linear pattern-weighted link gain from `src` (transmitting
     /// with `src_pattern`, identified by `src_pat`) to `dst` (receiving
-    /// with `dst_pattern` / `dst_pat`). Returns `0.0` when no propagation
-    /// path exists. Multiply by linear tx power and chain losses — or add
-    /// their dB equivalents after `lin_to_db` — to get received power.
-    #[allow(clippy::too_many_arguments)]
-    pub fn link_gain_lin(
-        &mut self,
-        env: &Environment,
-        src: &RadioNode,
-        src_idx: usize,
-        src_pat: PatId,
-        src_pattern: &AntennaPattern,
-        dst: &RadioNode,
-        dst_idx: usize,
-        dst_pat: PatId,
-        dst_pattern: &AntennaPattern,
-    ) -> f64 {
-        self.link_gain_lin_db(
-            env,
-            src,
-            src_idx,
-            src_pat,
-            src_pattern,
-            dst,
-            dst_idx,
-            dst_pat,
-            dst_pattern,
-        )
-        .0
-    }
-
-    /// [`Self::link_gain_lin`] plus its dB form (`NEG_INFINITY` for a dead
-    /// link). The conversion is memoized with the gain entry, so the warm
-    /// path costs no `log10` — the value is bit-identical to converting
-    /// the linear gain fresh.
+    /// with `dst_pattern` / `dst_pat`), and its dB form (`NEG_INFINITY` for
+    /// a dead link). The linear gain is `0.0` when no propagation path
+    /// exists; multiply it by linear tx power and chain losses — or add
+    /// their dB equivalents to the dB form — to get received power. The
+    /// conversion is memoized with the gain entry, so the warm path costs
+    /// no `log10` — the value is bit-identical to converting the linear
+    /// gain fresh.
     #[allow(clippy::too_many_arguments)]
     pub fn link_gain_lin_db(
         &mut self,
@@ -699,28 +672,32 @@ mod tests {
         let mut cache = LinkGainCache::with_ctx(&SimCtx::new());
         let pa = pat(18.0, 12.0);
         let pb = pat(14.0, 20.0);
-        let fwd = cache.link_gain_lin(
-            &env,
-            &nodes[0],
-            0,
-            PatId(0),
-            &pa,
-            &nodes[1],
-            1,
-            PatId(1),
-            &pb,
-        );
-        let rev = cache.link_gain_lin(
-            &env,
-            &nodes[1],
-            1,
-            PatId(1),
-            &pb,
-            &nodes[0],
-            0,
-            PatId(0),
-            &pa,
-        );
+        let fwd = cache
+            .link_gain_lin_db(
+                &env,
+                &nodes[0],
+                0,
+                PatId(0),
+                &pa,
+                &nodes[1],
+                1,
+                PatId(1),
+                &pb,
+            )
+            .0;
+        let rev = cache
+            .link_gain_lin_db(
+                &env,
+                &nodes[1],
+                1,
+                PatId(1),
+                &pb,
+                &nodes[0],
+                0,
+                PatId(0),
+                &pa,
+            )
+            .0;
         let reference = brute_force(&env, &nodes[0], &pa, &nodes[1], &pb);
         assert!(
             (fwd / reference - 1.0).abs() < 1e-9,
@@ -738,10 +715,12 @@ mod tests {
         let mut cache = LinkGainCache::with_ctx(&SimCtx::new());
         let p = pat(16.0, 15.0);
         let q = pat(10.0, 30.0);
-        let first =
-            cache.link_gain_lin(&env, &nodes[0], 0, PatId(3), &p, &nodes[2], 2, PatId(7), &q);
-        let second =
-            cache.link_gain_lin(&env, &nodes[0], 0, PatId(3), &p, &nodes[2], 2, PatId(7), &q);
+        let first = cache
+            .link_gain_lin_db(&env, &nodes[0], 0, PatId(3), &p, &nodes[2], 2, PatId(7), &q)
+            .0;
+        let second = cache
+            .link_gain_lin_db(&env, &nodes[0], 0, PatId(3), &p, &nodes[2], 2, PatId(7), &q)
+            .0;
         assert_eq!(first.to_bits(), second.to_bits());
         let s = cache.stats();
         assert_eq!((s.gain_misses, s.gain_hits), (1, 1));
@@ -757,7 +736,7 @@ mod tests {
         let p = pat(16.0, 15.0);
         // Warm all three pairs.
         for (s, d) in [(0usize, 1usize), (0, 2), (1, 2)] {
-            cache.link_gain_lin(&env, &nodes[s], s, PatId(0), &p, &nodes[d], d, PatId(0), &p);
+            cache.link_gain_lin_db(&env, &nodes[s], s, PatId(0), &p, &nodes[d], d, PatId(0), &p);
         }
         assert_eq!(cache.stats().path_traces, 3);
         assert_eq!(cache.stats().gain_misses, 3);
@@ -767,11 +746,13 @@ mod tests {
         let mut rotated = nodes[0].clone();
         rotated.orientation = rotated.orientation + Angle::from_degrees(40.0);
         let before = cache.stats();
-        let stale =
-            cache.link_gain_lin(&env, &rotated, 0, PatId(0), &p, &nodes[1], 1, PatId(0), &p);
-        cache.link_gain_lin(&env, &rotated, 0, PatId(0), &p, &nodes[2], 2, PatId(0), &p);
-        let fresh_pair =
-            cache.link_gain_lin(&env, &nodes[1], 1, PatId(0), &p, &nodes[2], 2, PatId(0), &p);
+        let stale = cache
+            .link_gain_lin_db(&env, &rotated, 0, PatId(0), &p, &nodes[1], 1, PatId(0), &p)
+            .0;
+        cache.link_gain_lin_db(&env, &rotated, 0, PatId(0), &p, &nodes[2], 2, PatId(0), &p);
+        let fresh_pair = cache
+            .link_gain_lin_db(&env, &nodes[1], 1, PatId(0), &p, &nodes[2], 2, PatId(0), &p)
+            .0;
         let after = cache.stats();
         // Pairs touching device 0 recomputed; the (1,2) pair was a pure hit.
         assert_eq!(after.gain_misses - before.gain_misses, 2);
@@ -790,14 +771,16 @@ mod tests {
         let mut cache = LinkGainCache::with_ctx(&SimCtx::new());
         let p = pat(16.0, 15.0);
         for (s, d) in [(0usize, 1usize), (0, 2), (1, 2)] {
-            cache.link_gain_lin(&env, &nodes[s], s, PatId(0), &p, &nodes[d], d, PatId(0), &p);
+            cache.link_gain_lin_db(&env, &nodes[s], s, PatId(0), &p, &nodes[d], d, PatId(0), &p);
         }
         cache.bump_position(1);
         let mut moved = nodes[1].clone();
         moved.position = Point::new(5.8, 1.2);
-        let gain = cache.link_gain_lin(&env, &nodes[0], 0, PatId(0), &p, &moved, 1, PatId(0), &p);
-        cache.link_gain_lin(&env, &moved, 1, PatId(0), &p, &nodes[2], 2, PatId(0), &p);
-        cache.link_gain_lin(&env, &nodes[0], 0, PatId(0), &p, &nodes[2], 2, PatId(0), &p);
+        let gain = cache
+            .link_gain_lin_db(&env, &nodes[0], 0, PatId(0), &p, &moved, 1, PatId(0), &p)
+            .0;
+        cache.link_gain_lin_db(&env, &moved, 1, PatId(0), &p, &nodes[2], 2, PatId(0), &p);
+        cache.link_gain_lin_db(&env, &nodes[0], 0, PatId(0), &p, &nodes[2], 2, PatId(0), &p);
         let s = cache.stats();
         // Two pairs re-traced ((0,1) and (1,2)); (0,2) untouched.
         assert_eq!(s.path_traces, 5);
@@ -817,22 +800,30 @@ mod tests {
             let mut cache = LinkGainCache::with_ctx(&SimCtx::with_cache_mode(mode));
             let mut out = Vec::new();
             for _ in 0..3 {
-                out.push(cache.link_gain_lin(
-                    &env,
-                    &nodes[0],
-                    0,
-                    PatId(0),
-                    &p,
-                    &nodes[1],
-                    1,
-                    PatId(1),
-                    &q,
-                ));
+                out.push(
+                    cache
+                        .link_gain_lin_db(
+                            &env,
+                            &nodes[0],
+                            0,
+                            PatId(0),
+                            &p,
+                            &nodes[1],
+                            1,
+                            PatId(1),
+                            &q,
+                        )
+                        .0,
+                );
             }
             cache.bump_orientation(1);
             let mut rot = nodes[1].clone();
             rot.orientation = rot.orientation + Angle::from_degrees(-15.0);
-            out.push(cache.link_gain_lin(&env, &nodes[0], 0, PatId(0), &p, &rot, 1, PatId(1), &q));
+            out.push(
+                cache
+                    .link_gain_lin_db(&env, &nodes[0], 0, PatId(0), &p, &rot, 1, PatId(1), &q)
+                    .0,
+            );
             (out, cache.stats())
         };
         let (cached_vals, cached_stats) = run(CacheMode::Cached);
@@ -923,7 +914,7 @@ mod tests {
         let mut cache = LinkGainCache::with_ctx(&ctx);
         let p = pat(16.0, 15.0);
         for _ in 0..2 {
-            cache.link_gain_lin(&env, &nodes[0], 0, PatId(0), &p, &nodes[1], 1, PatId(0), &p);
+            cache.link_gain_lin_db(&env, &nodes[0], 0, PatId(0), &p, &nodes[1], 1, PatId(0), &p);
         }
         cache.bump_orientation(0);
         let c = ctx.counters();
@@ -939,7 +930,9 @@ mod tests {
         let b = RadioNode::new(1, "b", Point::new(2.0, 1.0), Angle::ZERO);
         let p = AntennaPattern::isotropic(0.0);
         let mut cache = LinkGainCache::with_ctx(&SimCtx::new());
-        let g = cache.link_gain_lin(&env, &a, 0, PatId(0), &p, &b, 1, PatId(0), &p);
+        let g = cache
+            .link_gain_lin_db(&env, &a, 0, PatId(0), &p, &b, 1, PatId(0), &p)
+            .0;
         assert!(g > 0.0);
         assert!(
             lin_to_db(g) < 0.0,

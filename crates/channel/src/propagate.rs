@@ -1,13 +1,25 @@
 //! Pattern-weighted multipath power and SINR.
 //!
-//! Everything radiometric in the workspace funnels through [`link_state`]:
-//! the MAC's frame delivery, the capture crate's trace amplitudes, and the
-//! angular-profile scans (via [`incident_from_direction`]). Multipath
-//! components combine *incoherently* (power sum): with 1.76 GHz of
-//! bandwidth, path delay differences of even 20 cm exceed the symbol
-//! period, so paths do not interfere coherently at the detector — they act
-//! as separate energy contributions (and as self-interference only through
-//! equalizer limits, which the implementation-loss budget absorbs).
+//! [`link_state`] computes a link from first principles: every traced
+//! path, weighted by both antenna patterns, in one power sum. It is the
+//! reference that the spatial-pruning audit in `mmwave_mac::Medium` and
+//! the pruning property tests check against. The other radiometric
+//! consumers sum the same per-path terms in their own loops:
+//!
+//! * the MAC's frame delivery and interference read
+//!   [`crate::LinkGainCache`], memoized per device pair and pattern;
+//! * capture-trace amplitudes come from `mmwave_core::replay`'s per-path
+//!   sum at the tap;
+//! * Fig. 22's busy-segment monitor sums in `Net::record_monitors`;
+//! * the angular-profile scans sum in `mmwave_core`'s
+//!   `analysis::reflections::measure_profile`.
+//!
+//! Multipath components combine *incoherently* (power sum): with
+//! 1.76 GHz of bandwidth, path delay differences of even 20 cm exceed the
+//! symbol period, so paths do not interfere coherently at the detector —
+//! they act as separate energy contributions (and as self-interference
+//! only through equalizer limits, which the implementation-loss budget
+//! absorbs).
 
 use crate::environment::Environment;
 use crate::node::RadioNode;

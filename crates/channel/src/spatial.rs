@@ -155,11 +155,6 @@ impl SpatialIndex {
         }
     }
 
-    /// The coupling cutoff distance.
-    pub fn cutoff_m(&self) -> f64 {
-        self.cutoff_m
-    }
-
     /// Number of registered devices.
     pub fn tracked(&self) -> usize {
         self.pos.len()
@@ -309,7 +304,7 @@ mod tests {
         for (i, &p) in pts.iter().enumerate() {
             idx.neighbors_into(p, &mut out);
             for (j, &q) in pts.iter().enumerate() {
-                if p.distance(q) <= idx.cutoff_m() {
+                if p.distance(q) <= idx.cutoff_m {
                     assert!(out.contains(&j), "device {j} within cutoff of {i} missed");
                 }
             }

@@ -235,10 +235,5 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
         ));
     }
 
-    RunReport {
-        id: "cc_compare",
-        title: "Congestion control over a blockage transient: Reno vs CUBIC vs rate-probe",
-        output,
-        violations,
-    }
+    RunReport { output, violations }
 }

@@ -216,10 +216,5 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
         net.device(dock).stats.drops,
     );
 
-    RunReport {
-        id: "churn",
-        title: "Link churn: repeated blockage, fault bursts and retrain cadence",
-        output,
-        violations,
-    }
+    RunReport { output, violations }
 }

@@ -167,10 +167,5 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
          MPDUs after recovery: {delivered_after_walk}\n"
     );
 
-    RunReport {
-        id: "dynblock",
-        title: "Dynamic blockage: walking-blocker transient and MAC recovery",
-        output,
-        violations,
-    }
+    RunReport { output, violations }
 }

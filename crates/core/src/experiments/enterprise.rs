@@ -217,10 +217,5 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
         airtime,
     );
 
-    RunReport {
-        id: "enterprise",
-        title: "Enterprise density: 18-office floor, 108 WiGig links + WiHD, spatial pruning",
-        output,
-        violations,
-    }
+    RunReport { output, violations }
 }

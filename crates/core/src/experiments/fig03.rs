@@ -99,10 +99,5 @@ pub fn run(ctx: &SimCtx, _quick: bool, seed: u64) -> RunReport {
         violations.push("no discovery sweep captured".into());
     }
 
-    RunReport {
-        id: "fig03",
-        title: "Fig. 3: Dell D5000 device discovery frame",
-        output,
-        violations,
-    }
+    RunReport { output, violations }
 }

@@ -110,10 +110,5 @@ pub fn run(ctx: &SimCtx, _quick: bool, seed: u64) -> RunReport {
         beacons
     );
 
-    RunReport {
-        id: "fig08",
-        title: "Fig. 8: Dell D5000 frame flow",
-        output,
-        violations,
-    }
+    RunReport { output, violations }
 }

@@ -122,10 +122,5 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
         output.push('\n');
     }
 
-    RunReport {
-        id: "fig12",
-        title: "Fig. 12: MCS with low traffic",
-        output,
-        violations,
-    }
+    RunReport { output, violations }
 }

@@ -135,8 +135,6 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
     }
 
     RunReport {
-        id: "fig13",
-        title: "Fig. 13: throughput decrease with distance",
         output: report::table(
             "Fig. 13 — Iperf throughput vs distance (Mb/s)",
             &["distance", "average", "min run", "max run"],

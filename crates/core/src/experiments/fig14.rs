@@ -110,10 +110,5 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
             "\nretrains: {total_retrains}   amplitude steps: {amp_steps} (coinciding with retrains: {coinciding})\n"
         );
 
-    RunReport {
-        id: "fig14",
-        title: "Fig. 14: D5000 frame amplitudes and rate over 80 minutes",
-        output,
-        violations,
-    }
+    RunReport { output, violations }
 }

@@ -121,10 +121,5 @@ pub fn run(ctx: &SimCtx, _quick: bool, seed: u64) -> RunReport {
         "\nstreaming: {data_active} data frames ({min_dur:.1}–{max_dur:.1} µs)   after video off: {data_idle} data frames, {beacons_idle} beacons\n",
     );
 
-    RunReport {
-        id: "fig15",
-        title: "Fig. 15: DVDO Air-3c WiHD frame flow",
-        output,
-        violations,
-    }
+    RunReport { output, violations }
 }

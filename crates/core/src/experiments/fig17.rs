@@ -143,10 +143,5 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
     }
     let _ = rot_hpbw;
 
-    RunReport {
-        id: "fig17",
-        title: "Fig. 17: laptop and D5000 beam patterns (aligned and rotated 70°)",
-        output,
-        violations,
-    }
+    RunReport { output, violations }
 }

@@ -139,10 +139,5 @@ pub fn check_room(summaries: &[ProbeSummary]) -> Vec<String> {
 pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
     let (_room, summaries, output) = run_room(ctx, RoomSystem::Wigig, quick, seed);
     let violations = check_room(&summaries);
-    RunReport {
-        id: "fig18",
-        title: "Fig. 18: reflections for Dell D5000 (conference room, probes A–F)",
-        output,
-        violations,
-    }
+    RunReport { output, violations }
 }

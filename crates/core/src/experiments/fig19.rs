@@ -45,8 +45,6 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
     }
 
     RunReport {
-        id: "fig19",
-        title: "Fig. 19: reflections for DVDO Air-3c WiHD (conference room)",
         output: output
             + &format!(
                 "\ntotals — reflection lobes: WiHD {} vs WiGig {}; mean strongest reflection: WiHD {:.1} dB vs WiGig {:.1} dB\n",

@@ -111,10 +111,5 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
          TCP over the reflection: {nlos:.0} Mb/s   line-of-sight reference: {los:.0} Mb/s\n"
     );
 
-    RunReport {
-        id: "fig20",
-        title: "Fig. 20: angular profile and throughput with link blockage",
-        output,
-        violations,
-    }
+    RunReport { output, violations }
 }

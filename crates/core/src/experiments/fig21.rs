@@ -102,10 +102,5 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
         st.data_tx, st.data_retx, st.ack_timeouts, st.cs_defers, overlapped_failures
     ));
 
-    RunReport {
-        id: "fig21",
-        title: "Fig. 21: inter-system interference effects (collisions + carrier sensing)",
-        output,
-        violations,
-    }
+    RunReport { output, violations }
 }

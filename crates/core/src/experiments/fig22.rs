@@ -260,10 +260,5 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
         wihd_alone.utilization * 100.0
     );
 
-    RunReport {
-        id: "fig22",
-        title: "Fig. 22: side lobe interference impact",
-        output,
-        violations,
-    }
+    RunReport { output, violations }
 }

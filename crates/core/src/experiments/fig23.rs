@@ -104,10 +104,5 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
         100.0 * drop / off_mean.max(1.0)
     );
 
-    RunReport {
-        id: "fig23",
-        title: "Fig. 23: reflection interference impact on TCP throughput",
-        output,
-        violations,
-    }
+    RunReport { output, violations }
 }

@@ -233,12 +233,7 @@ pub fn run_fig09(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
         }
         let _ = short;
     }
-    RunReport {
-        id: "fig09",
-        title: "Fig. 9: WiGig data frame length (CDF per TCP throughput)",
-        output,
-        violations,
-    }
+    RunReport { output, violations }
 }
 
 /// Fig. 10 — percentage of long frames per throughput.
@@ -275,8 +270,6 @@ pub fn run_fig10(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
         }
     }
     RunReport {
-        id: "fig10",
-        title: "Fig. 10: percentage of long frames in WiGig",
         output: report::bars("Fig. 10 — long frames [%] per TCP throughput", &bars, 40),
         violations,
     }
@@ -309,8 +302,6 @@ pub fn run_fig11(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
         }
     }
     RunReport {
-        id: "fig11",
-        title: "Fig. 11: WiGig medium usage",
         output: report::bars("Fig. 11 — medium usage [%] per TCP throughput", &bars, 40),
         violations,
     }
@@ -381,12 +372,7 @@ pub fn run_aggr(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
         }
         None => violations.push("no medium-saturated operating point".into()),
     }
-    RunReport {
-        id: "aggr",
-        title: "§4.1/§5: aggregation gain at 60 GHz timescales",
-        output,
-        violations,
-    }
+    RunReport { output, violations }
 }
 
 #[cfg(test)]

@@ -7,8 +7,10 @@
 //! | WiHD device discovery frame   | 20 ms            |
 //! | WiHD beacon frame             | 0.224 ms         |
 //!
-//! Measured here exactly as the paper did: capture traces, extract the
-//! frame starts of each class, report the median repeat interval.
+//! Measured from the MAC's transmission log (`TxLog`): the frame starts
+//! of each class, by their ground-truth `FrameClass` labels, and the
+//! median repeat interval. The paper extracted the same starts from
+//! captured traces; this run does not go through the capture crate.
 
 use super::RunReport;
 use crate::report;
@@ -152,8 +154,6 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
     }
 
     RunReport {
-        id: "table1",
-        title: "Table 1: D5000 and WiHD frame periodicity",
         output: report::table(
             "Table 1 — frame periodicity",
             &["Frame type", "Measured interval", "Paper"],

@@ -160,11 +160,6 @@ impl Medium {
         }
     }
 
-    /// The active coupling cutoff distance, if spatial pruning is enabled.
-    pub fn spatial_cutoff_m(&self) -> Option<f64> {
-        self.spatial.as_ref().map(|sp| sp.index.cutoff_m())
-    }
-
     /// Flush all cached geometry and gains (call after bulk scene edits;
     /// for a single device prefer the granular bumps on
     /// [`Medium::link_cache_mut`]).
@@ -416,11 +411,6 @@ impl Medium {
     pub fn is_transmitting(&self, dev: usize) -> bool {
         self.active.iter().any(|t| t.frame.src == dev)
     }
-
-    /// Number of concurrent transmissions.
-    pub fn active_count(&self) -> usize {
-        self.active.len()
-    }
 }
 
 #[cfg(test)]
@@ -518,7 +508,7 @@ mod tests {
         assert!(!m.is_transmitting(1));
         m.finish_tx(id, -68.0);
         assert!(!m.is_busy_for(1, -68.0));
-        assert_eq!(m.active_count(), 0);
+        assert!(!m.is_transmitting(0));
     }
 
     #[test]
@@ -717,7 +707,7 @@ mod tests {
             mmwave_channel::PruneMode::Audit,
             &positions(&devices),
         );
-        let cut = m.spatial_cutoff_m().expect("enabled");
+        let cut = mmwave_channel::cutoff_distance_m(&env, &cfg);
         assert!(cut < 2.0, "cutoff {cut} must undercut the 2 m pair");
         // Audit recomputes the pruned pair and confirms it under the floor.
         let p = m.rx_power_dbm(&env, &devices, 0, PatKey::Dir(16), 1, 0.0);

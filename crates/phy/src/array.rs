@@ -42,8 +42,9 @@ impl Complex {
             im: mag * phase.sin(),
         }
     }
-    /// Magnitude. Routed through [`crate::fastmath`] — bit-identical to
-    /// `self.re.hypot(self.im)` on every input, but inlinable.
+    /// Magnitude, through [`fastmath::hypot`]'s glibc clone —
+    /// bit-identical to `self.re.hypot(self.im)` on every input, but
+    /// inlinable.
     pub fn abs(self) -> f64 {
         fastmath::hypot(self.re, self.im)
     }

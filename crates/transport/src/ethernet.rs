@@ -57,21 +57,6 @@ impl RateLimiter {
         self.next_free = now + SimDuration::for_bits(bytes as u64 * 8, self.rate_bps);
         true
     }
-
-    /// Serialization time of one `bytes`-sized packet on this wire.
-    pub fn slot(&self, bytes: u32) -> SimDuration {
-        SimDuration::for_bits(bytes as u64 * 8, self.rate_bps)
-    }
-
-    /// Overwrite the wire-free instant. The batched release path in
-    /// `tcp.rs` uses this to reserve a whole run of back-to-back segments
-    /// up front (`next_free ← t₁ + K·slot`) and to roll the reservation
-    /// back to the unreleased suffix when the run is truncated — in both
-    /// cases restoring exactly the state the per-segment `admit` sequence
-    /// would have produced.
-    pub(crate) fn set_next_free(&mut self, at: SimTime) {
-        self.next_free = at;
-    }
 }
 
 #[cfg(test)]

@@ -180,17 +180,8 @@ impl Stack {
                 for i in 0..self.flows.len() {
                     if self.timers[i] == Some(next) {
                         self.timer_dirty[i] = true;
-                        if self.flows[i].run_only_due(next) {
-                            // Slim path: the only due work is the next
-                            // segment of a batched release run.
-                            let qlen = self.net.queue_len(self.flows[i].cfg.src_dev);
-                            if let Some(a) = self.flows[i].release_run_segment(next, qlen) {
-                                Self::apply_one(&mut self.net, a);
-                            }
-                        } else {
-                            let flow = &mut self.flows[i];
-                            Self::pump_flow(&mut self.net, flow, next, &mut self.actions);
-                        }
+                        let flow = &mut self.flows[i];
+                        Self::pump_flow(&mut self.net, flow, next, &mut self.actions);
                     }
                 }
             } else {

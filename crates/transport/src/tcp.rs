@@ -162,34 +162,6 @@ impl FlowStats {
     }
 }
 
-/// A pre-admitted run of back-to-back segment releases through the
-/// Ethernet bottleneck.
-///
-/// A backlogged, unpaced, ACK-clocked flow behind a serializing
-/// [`RateLimiter`] releases exactly one MSS segment every wire slot, at
-/// instants known in advance (`next_free`, `next_free + slot`, …). The
-/// fill loop recognises that state at the limiter-refusal point and
-/// *commits* the whole in-window schedule at once: the wire is reserved
-/// up front (`next_free ← t₁ + K·slot`) and the stack then drains the
-/// run through the slim [`TcpFlow::release_run_segment`] path — one
-/// MAC-cap check and one push per segment instead of a full pump and
-/// fill-loop re-derivation per segment.
-///
-/// Determinism contract: any full [`TcpFlow::pump`] dissolves the run
-/// (rolling the wire reservation back to the first unreleased slot), so
-/// every ACK, RTO, window change or pacing-rate install re-derives the
-/// schedule from scratch — release instants, MAC pushes, and artifact
-/// bytes are identical to the unbatched per-segment path.
-#[derive(Debug, Clone, Copy)]
-struct ReleaseRun {
-    /// Instant of the next release.
-    next_at: SimTime,
-    /// Wire slot of one MSS segment (uniform release spacing).
-    interval: SimDuration,
-    /// Segments left in the run (always ≥ 1 while the run exists).
-    remaining: u32,
-}
-
 /// Sender + receiver state of one TCP flow.
 #[derive(Debug)]
 pub struct TcpFlow {
@@ -221,8 +193,6 @@ pub struct TcpFlow {
     pending_fast_retransmit: bool,
     pace_next: SimTime,
     queue_poll_at: Option<SimTime>,
-    /// Active batched release schedule, if any (see [`ReleaseRun`]).
-    run: Option<ReleaseRun>,
     // --- receiver ---
     rcv_nxt: u64,
     out_of_order: BTreeSet<u64>,
@@ -286,7 +256,6 @@ impl TcpFlow {
             pending_fast_retransmit: false,
             pace_next: now,
             queue_poll_at: None,
-            run: None,
             rcv_nxt: 0,
             out_of_order: BTreeSet::new(),
             delack_pending: 0,
@@ -383,7 +352,6 @@ impl TcpFlow {
         consider(self.rto_at);
         consider(self.queue_poll_at);
         consider(self.delack_at);
-        consider(self.run.as_ref().map(|r| r.next_at));
         // Pacing releases only matter for paced flows; unpaced flows are
         // purely ACK-clocked (and polled via queue_poll_at).
         if !self.finished() && (self.snd_nxt - self.snd_una) < self.window_segments() as u64 {
@@ -416,18 +384,6 @@ impl TcpFlow {
         mac_queue_len: usize,
         actions: &mut Vec<TcpAction>,
     ) {
-        // A full pump dissolves any batched release run: the wire
-        // reservation rolls back to the first unreleased slot, and the
-        // fill loop below re-derives (and usually re-commits) the
-        // schedule from the *current* window and ack state. This is the
-        // rule that keeps batching byte-identical: every state change
-        // (ACK advance, RTO, pattern install, fast retransmit) reaches
-        // the datapath through a path that ends in a pump.
-        if let Some(run) = self.run.take() {
-            if let Some(l) = &mut self.cfg.bottleneck {
-                l.set_next_free(run.next_at);
-            }
-        }
         // Stats sampling.
         while self.next_sample <= now {
             self.stats
@@ -490,7 +446,7 @@ impl TcpFlow {
             // Ethernet bottleneck.
             if let Some(limiter) = &mut self.cfg.bottleneck {
                 if !limiter.admit(now, self.cfg.mss) {
-                    self.stall_or_commit_run();
+                    self.queue_poll_at = Some(limiter.next_free());
                     break;
                 }
             }
@@ -498,92 +454,6 @@ impl TcpFlow {
             self.snd_nxt += 1;
             actions.push(self.push_segment(seq, now, false));
         }
-    }
-
-    /// The fill loop hit the bottleneck's wire-busy refusal. For a pure
-    /// ACK-clocked flow (no pacers), the future is deterministic until
-    /// the next pump: one segment per wire slot while window headroom
-    /// lasts — so commit the whole run and reserve the wire up front.
-    /// Otherwise fall back to the ordinary queue poll at `next_free`.
-    fn stall_or_commit_run(&mut self) {
-        let eligible =
-            self.cfg.pace_bps.is_none() && self.ctl_rate_bps.is_none() && !self.finished();
-        // Window headroom at the refusal point: the count of extra
-        // segments the `in_flight < window` gate would admit, given that
-        // no ACK moves `snd_una` before the next pump (which re-derives).
-        let in_flight = self.snd_nxt.saturating_sub(self.snd_una);
-        let headroom = (self.window_segments() - in_flight as f64).ceil();
-        let mut k = if headroom > 0.0 { headroom as u64 } else { 0 };
-        if let Some(total) = self.total_segments() {
-            k = k.min(total.saturating_sub(self.snd_nxt));
-        }
-        let mss = self.cfg.mss;
-        let limiter = self
-            .cfg
-            .bottleneck
-            .as_mut()
-            .expect("wire refusal implies a bottleneck");
-        if !eligible || k == 0 {
-            self.queue_poll_at = Some(limiter.next_free());
-            return;
-        }
-        let k = k.min(u32::MAX as u64) as u32;
-        let next_at = limiter.next_free();
-        let interval = limiter.slot(mss);
-        limiter.set_next_free(next_at + interval * k);
-        self.run = Some(ReleaseRun {
-            next_at,
-            interval,
-            remaining: k,
-        });
-    }
-
-    /// True if, at `at`, the *only* due servicing for this flow is the
-    /// next batched release — the stack then takes the slim
-    /// [`Self::release_run_segment`] path. Any coincident timer (RTO,
-    /// delayed ACK, queue poll, stats sample) forces a full pump so the
-    /// stage order matches the unbatched path exactly.
-    pub(crate) fn run_only_due(&self, at: SimTime) -> bool {
-        let Some(run) = &self.run else { return false };
-        run.next_at <= at
-            && self.rto_at.is_none_or(|t| t > at)
-            && self.queue_poll_at.is_none_or(|t| t > at)
-            && self.delack_at.is_none_or(|t| t > at)
-            && self.next_sample > at
-    }
-
-    /// Release the next segment of an active run: one MAC-cap check and
-    /// one push, skipping the full pump's stage scan and fill-loop
-    /// re-derivation. `qlen` is the sender's current MAC queue depth.
-    /// Returns `None` under MAC backpressure, in which case the run
-    /// dissolves into the ordinary queue-poll retry (rebasing the wire
-    /// schedule), exactly like the unbatched path.
-    pub(crate) fn release_run_segment(&mut self, now: SimTime, qlen: usize) -> Option<TcpAction> {
-        let mut run = self.run.take().expect("release without an active run");
-        debug_assert_eq!(run.next_at, now, "release at the scheduled instant");
-        if qlen >= MAC_QUEUE_CAP {
-            // The unbatched path would break on the MAC-cap gate before
-            // touching the limiter, leaving `next_free` at `now`; the
-            // poll then re-admits and rebases at `now + QUEUE_POLL`.
-            if let Some(l) = &mut self.cfg.bottleneck {
-                l.set_next_free(now);
-            }
-            self.queue_poll_at = Some(now + QUEUE_POLL);
-            return None;
-        }
-        let seq = self.snd_nxt;
-        self.snd_nxt += 1;
-        let action = self.push_segment(seq, now, false);
-        run.remaining -= 1;
-        if run.remaining > 0 {
-            run.next_at = now + run.interval;
-            self.run = Some(run);
-        }
-        // On exhaustion the window is full: like the unbatched fill loop
-        // breaking on the window gate, no poll timer is armed — the next
-        // wake is ACK- or RTO-driven, and the wire reservation already
-        // equals the post-run per-segment admit state.
-        Some(action)
     }
 
     fn push_segment(&mut self, seq: u64, now: SimTime, is_retransmit: bool) -> TcpAction {

@@ -64,6 +64,10 @@ echo "==> SoA kernel equivalence suites"
 cargo test -q --release -p mmwave-phy --test basis_equivalence
 cargo test -q --release -p mmwave-phy --test soa_equivalence
 cargo test -q --release -p mmwave-capture --test properties
+# The fastmath glibc clones have no runtime self-test or std fallback:
+# these clone-vs-std differentials (random bits, dense sweeps, the fused
+# pattern tail) are what pins their bits, so run them optimized too.
+cargo test -q --release -p mmwave-phy --lib fastmath::
 
 echo "==> cargo fmt --check"
 cargo fmt --check
