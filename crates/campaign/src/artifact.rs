@@ -132,7 +132,7 @@ pub fn run_from_json(v: &Json) -> Result<RunRecord, String> {
             .into(),
         status: field("status")?
             .as_str()
-            .and_then(RunStatus::from_str)
+            .and_then(RunStatus::parse)
             .ok_or("status must be pass|shape-fail|panicked")?,
         violations: field("violations")?
             .as_arr()

@@ -137,7 +137,7 @@ fn parse_args() -> Result<Cli, String> {
                     .next()
                     .ok_or("--cc needs an algorithm (reno|cubic|rate_probe)")?;
                 cli.cc = Some(
-                    mmwave_transport::CcKind::from_str(&v)
+                    mmwave_transport::CcKind::parse(&v)
                         .ok_or_else(|| format!("unknown congestion algorithm: {v}"))?,
                 );
             }

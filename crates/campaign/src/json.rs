@@ -554,7 +554,7 @@ mod tests {
 
     #[test]
     fn float_roundtrip_exact() {
-        for x in [0.1, 1.0 / 3.0, 1e-300, 123456789.123456789, f64::MAX] {
+        for x in [0.1, 1.0 / 3.0, 1e-300, 123_456_789.123_456_79, f64::MAX] {
             let text = Json::Num(x).render();
             let back = Json::parse(&text).expect("parses");
             assert_eq!(back.as_f64().expect("num"), x, "float {x} drifted");

@@ -186,7 +186,7 @@ impl RunStatus {
     }
 
     /// Inverse of [`RunStatus::as_str`].
-    pub fn from_str(s: &str) -> Option<RunStatus> {
+    pub fn parse(s: &str) -> Option<RunStatus> {
         match s {
             "pass" => Some(RunStatus::Pass),
             "shape-fail" => Some(RunStatus::ShapeFail),
@@ -293,9 +293,9 @@ mod tests {
     #[test]
     fn status_strings_roundtrip() {
         for s in [RunStatus::Pass, RunStatus::ShapeFail, RunStatus::Panicked] {
-            assert_eq!(RunStatus::from_str(s.as_str()), Some(s));
+            assert_eq!(RunStatus::parse(s.as_str()), Some(s));
         }
-        assert_eq!(RunStatus::from_str("weird"), None);
+        assert_eq!(RunStatus::parse("weird"), None);
     }
 
     #[test]

@@ -208,7 +208,7 @@ impl ManifestWriter {
     /// instead of appending after garbage.
     pub fn create(out: &Path, fingerprint: u64, carried: &[ChunkEntry]) -> io::Result<Self> {
         let mut file = BufWriter::new(std::fs::File::create(out.join(MANIFEST_FILE_NAME))?);
-        write!(file, "{MANIFEST_FILE_SCHEMA} fp {fingerprint:016x}\n")?;
+        writeln!(file, "{MANIFEST_FILE_SCHEMA} fp {fingerprint:016x}")?;
         for e in carried {
             file.write_all(e.render().as_bytes())?;
         }

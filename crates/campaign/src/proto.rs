@@ -83,13 +83,11 @@ fn task_from_json(v: &Json) -> Result<TaskSpec, String> {
         seed: field("seed")?.as_u64().ok_or("seed must be an integer")?,
         quick: field("quick")?.as_bool().ok_or("quick must be a bool")?,
         cc: opt_str("cc")?
-            .map(|s| {
-                mmwave_transport::CcKind::from_str(s).ok_or_else(|| format!("unknown cc '{s}'"))
-            })
+            .map(|s| mmwave_transport::CcKind::parse(s).ok_or_else(|| format!("unknown cc '{s}'")))
             .transpose()?,
         prune: opt_str("prune")?
             .map(|s| {
-                mmwave_channel::PruneMode::from_str(s)
+                mmwave_channel::PruneMode::parse(s)
                     .ok_or_else(|| format!("unknown prune mode '{s}'"))
             })
             .transpose()?,

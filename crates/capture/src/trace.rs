@@ -276,7 +276,7 @@ impl SignalTrace {
                 done += b;
             }
             emitted += run;
-            t = t + SimDuration::from_nanos(period.as_nanos() * run as u64);
+            t += SimDuration::from_nanos(period.as_nanos() * run as u64);
         }
         period
     }
@@ -326,7 +326,7 @@ impl SignalTrace {
                 out.push((env * c + noise) as f32);
             }
             emitted += run;
-            t = t + SimDuration::from_nanos(period.as_nanos() * run as u64);
+            t += SimDuration::from_nanos(period.as_nanos() * run as u64);
         }
         (period, out)
     }

@@ -11,8 +11,7 @@
 //!   limits, the link budget, plus a per-run atmospheric loss offset (the
 //!   day-to-day spread behind Fig. 13's 10–17 m range variation).
 //! * [`propagate`] — per-path received power with TX/RX pattern weighting,
-//!   incoherent multipath combination, SINR, and per-direction incident
-//!   power (the primitive behind the angular-profile scans of Figs. 18–20).
+//!   incoherent multipath combination and SINR.
 //! * [`fading`] — slow AR(1) link fading and the sparse perturbation
 //!   process that triggers the beam realignments of Fig. 14.
 //! * [`linkgain`] — the memoized radiometric link-gain cache: linear
@@ -31,5 +30,5 @@ pub use environment::Environment;
 pub use fading::{Ar1Fading, PerturbationProcess};
 pub use linkgain::{CacheMode, CacheStats, LinkGainCache, PatId};
 pub use node::{NodeId, RadioNode};
-pub use propagate::{incident_from_direction, link_state, sinr_db, LinkState, PathGain};
+pub use propagate::{link_state, sinr_db, LinkState, PathGain};
 pub use spatial::{coupling_bound_dbm, cutoff_distance_m, PruneMode, SpatialConfig, SpatialIndex};

@@ -64,9 +64,30 @@ pub use mmwave_sim::ctx::CacheMode;
 /// Opaque pattern identity *within one device*. The cache never inspects
 /// patterns; callers assign stable ids (e.g. sector index, with a flag bit
 /// for quasi-omni patterns) and guarantee that equal `(device, PatId)`
-/// always denotes the same pattern samples.
+/// always denotes the same pattern samples. Ids must be below 2¹⁶: the
+/// cache packs them into a one-word key (see [`gain_key`]).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PatId(pub u32);
+
+/// The gain-entry key of `src → dst` with the given pattern ids, packed
+/// into one word: 16 bits each for the two device indices and the two
+/// pattern ids. A key that overflowed its field would alias another
+/// link's entry and silently return that link's gain, so the ranges are
+/// checked in release builds too.
+fn gain_key(src: usize, dst: usize, src_pat: PatId, dst_pat: PatId) -> u64 {
+    const FIELD: usize = 1 << 16;
+    assert!(
+        src < FIELD && dst < FIELD,
+        "device index {} beyond the gain key's 16 bits",
+        src.max(dst)
+    );
+    assert!(
+        (src_pat.0.max(dst_pat.0) as usize) < FIELD,
+        "pattern id {:#x} beyond the gain key's 16 bits",
+        src_pat.0.max(dst_pat.0)
+    );
+    (src as u64) << 48 | (dst as u64) << 32 | (src_pat.0 as u64) << 16 | dst_pat.0 as u64
+}
 
 /// Local cache-activity counters (the same events also stream into the
 /// cache's [`SimCtx`] for campaign artifacts).
@@ -183,7 +204,8 @@ pub struct LinkGainCache {
     pos_gen: Vec<u64>,
     orient_gen: Vec<u64>,
     pairs: FastMap<(usize, usize), PairEntry>,
-    gains: FastMap<(usize, usize, u32, u32), GainEntry>,
+    /// Keyed by [`gain_key`].
+    gains: FastMap<u64, GainEntry>,
     tables: FastMap<(usize, usize), TableEntry>,
     stats: CacheStats,
 }
@@ -295,7 +317,7 @@ impl LinkGainCache {
             self.pos_gen[dst_idx],
             self.orient_gen[dst_idx],
         );
-        let gkey = (src_idx, dst_idx, src_pat.0, dst_pat.0);
+        let gkey = gain_key(src_idx, dst_idx, src_pat, dst_pat);
         match self.gains.get(&gkey) {
             Some(g) if g.stamp == stamp => {
                 let (lin, db) = (g.lin, g.db);
@@ -938,5 +960,28 @@ mod tests {
             lin_to_db(g) < 0.0,
             "a 1 m 60 GHz link has negative net gain"
         );
+    }
+
+    #[test]
+    fn gain_keys_keep_every_field_apart() {
+        assert_eq!(
+            gain_key(0xfffe, 1, PatId(0x8003), PatId(0x7fff)),
+            0xfffe_0001_8003_7fff
+        );
+        let k = gain_key(1, 2, PatId(3), PatId(4));
+        assert_ne!(k, gain_key(2, 1, PatId(3), PatId(4)));
+        assert_ne!(k, gain_key(1, 2, PatId(4), PatId(3)));
+    }
+
+    #[test]
+    #[should_panic(expected = "device index 65536 beyond")]
+    fn gain_key_refuses_a_device_index_that_would_alias() {
+        gain_key(0, 1 << 16, PatId(0), PatId(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "pattern id 0x80000000 beyond")]
+    fn gain_key_refuses_a_pattern_id_that_would_alias() {
+        gain_key(0, 1, PatId(1 << 31), PatId(0));
     }
 }

@@ -23,7 +23,7 @@
 
 use crate::environment::Environment;
 use crate::node::RadioNode;
-use mmwave_geom::{Angle, PropPath};
+use mmwave_geom::PropPath;
 use mmwave_phy::{db_to_lin, lin_to_db, AntennaPattern};
 
 /// One path with its received power after pattern weighting.
@@ -85,23 +85,6 @@ pub fn link_state(
     LinkState { paths, total_dbm }
 }
 
-/// Power incident at `rx` from within ±`half_width` of world azimuth
-/// `look_dir`, in dBm — what a rotating horn pointed at `look_dir` would
-/// capture from transmitter `tx`. Paths outside the acceptance window are
-/// still weighted by the horn pattern (its floor), not discarded: a strong
-/// enough off-axis path leaks in exactly as with real equipment.
-pub fn incident_from_direction(
-    env: &Environment,
-    tx: &RadioNode,
-    tx_pattern: &AntennaPattern,
-    rx_position: mmwave_geom::Point,
-    horn: &AntennaPattern,
-    look_dir: Angle,
-) -> f64 {
-    let rx = RadioNode::new(usize::MAX - 1, "probe", rx_position, look_dir);
-    link_state(env, tx, tx_pattern, &rx, horn).total_dbm
-}
-
 /// SINR in dB: `serving` against the power sum of `interferers` plus the
 /// thermal noise floor.
 pub fn sinr_db(serving_dbm: f64, interferers_dbm: &[f64], noise_floor_dbm: f64) -> f64 {
@@ -113,7 +96,7 @@ pub fn sinr_db(serving_dbm: f64, interferers_dbm: &[f64], noise_floor_dbm: f64) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmwave_geom::{Material, Point, Room, Segment, Wall};
+    use mmwave_geom::{Angle, Material, Point, Room, Segment, Wall};
     use mmwave_phy::{horn_25dbi, AntennaPattern};
 
     fn iso() -> AntennaPattern {
@@ -246,22 +229,5 @@ mod tests {
         // A dominant interferer sets the SIR.
         let strong = sinr_db(-50.0, &[-45.0], noise);
         assert!((strong + 5.0).abs() < 0.1, "{strong}");
-    }
-
-    #[test]
-    fn horn_scan_sees_the_transmitter_direction() {
-        let env = open_env();
-        let tx = RadioNode::new(0, "tx", Point::new(5.0, 0.0), Angle::from_degrees(180.0));
-        let probe = Point::new(0.0, 0.0);
-        let toward = incident_from_direction(&env, &tx, &iso(), probe, &horn_25dbi(), Angle::ZERO);
-        let away = incident_from_direction(
-            &env,
-            &tx,
-            &iso(),
-            probe,
-            &horn_25dbi(),
-            Angle::from_degrees(120.0),
-        );
-        assert!(toward > away + 30.0, "toward {toward} away {away}");
     }
 }

@@ -53,7 +53,7 @@ impl PruneMode {
     }
 
     /// Inverse of [`PruneMode::as_str`] (CLI flags, wire protocol).
-    pub fn from_str(s: &str) -> Option<PruneMode> {
+    pub fn parse(s: &str) -> Option<PruneMode> {
         match s {
             "enforce" => Some(PruneMode::Enforce),
             "audit" => Some(PruneMode::Audit),

@@ -111,7 +111,7 @@ fn run_alg(ctx: &SimCtx, seed: u64, quick: bool, kind: CcKind) -> AlgOutcome {
     });
 
     let total = t_end + SimDuration::from_millis(300);
-    let total_ms = (total.as_nanos() / 1_000_000) as u64;
+    let total_ms = total.as_nanos() / 1_000_000;
     let mut cwnd_trace = Vec::with_capacity(total_ms as usize + 1);
     let mut min_cwnd = f64::INFINITY;
     // Loss effects of the transit can land just after the walker leaves

@@ -8,7 +8,7 @@ use super::RunReport;
 use crate::report;
 use crate::scenarios::interference_floor;
 use mmwave_geom::Angle;
-use mmwave_mac::{FrameClass, NetConfig};
+use mmwave_mac::{FrameClass, NetConfig, TxLogEntry};
 use mmwave_sim::ctx::SimCtx;
 use mmwave_sim::time::{SimDuration, SimTime};
 use mmwave_transport::{Stack, TcpConfig};
@@ -52,18 +52,8 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
         violations.push("dock B never deferred — carrier sensing not visible".into());
     }
     // Ground truth: failed data frames that overlapped a WiHD frame.
-    let entries: Vec<_> = net.txlog().entries().to_vec();
-    let mut overlapped_failures = 0;
-    for e in &entries {
-        if e.src == dock_b && e.class == FrameClass::Data && e.delivered == Some(false) {
-            let overlaps = entries
-                .iter()
-                .any(|o| o.class == FrameClass::WihdData && o.start < e.end && e.start < o.end);
-            if overlaps {
-                overlapped_failures += 1;
-            }
-        }
-    }
+    let entries = net.txlog().entries();
+    let overlapped_failures = overlapped_failures(entries, dock_b);
     if overlapped_failures == 0 {
         violations.push("no data frame failed while a WiHD frame was on the air".into());
     }
@@ -103,4 +93,122 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
     ));
 
     RunReport { output, violations }
+}
+
+/// Failed data frames from `src` that overlapped a WiHD data frame on the
+/// air (`o.start < e.end && e.start < o.end`). `entries` is the
+/// start-ordered transmission log. One pass records the WiHD frames'
+/// starts with a running maximum of their ends; the WiHD frames that
+/// started before a failure ended are then a prefix, found by binary
+/// search, and one of them overlaps it iff that prefix's latest end lies
+/// past the failure's start.
+fn overlapped_failures(entries: &[TxLogEntry], src: usize) -> usize {
+    let mut wihd_starts: Vec<SimTime> = Vec::new();
+    let mut wihd_max_end: Vec<SimTime> = Vec::new();
+    for o in entries.iter().filter(|o| o.class == FrameClass::WihdData) {
+        debug_assert!(
+            wihd_starts.last() <= Some(&o.start),
+            "log not start-ordered"
+        );
+        let max_end = wihd_max_end.last().map_or(o.end, |&m| m.max(o.end));
+        wihd_starts.push(o.start);
+        wihd_max_end.push(max_end);
+    }
+    entries
+        .iter()
+        .filter(|e| e.src == src && e.class == FrameClass::Data && e.delivered == Some(false))
+        .filter(|e| {
+            let n = wihd_starts.partition_point(|&s| s < e.end);
+            n > 0 && wihd_max_end[n - 1] > e.start
+        })
+        .count()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mmwave_geom::{Angle, Point};
+    use mmwave_mac::PatKey;
+    use mmwave_sim::rng::SimRng;
+
+    /// Reference: every failure checked against every log entry.
+    fn overlapped_failures_reference(entries: &[TxLogEntry], src: usize) -> usize {
+        entries
+            .iter()
+            .filter(|e| e.src == src && e.class == FrameClass::Data && e.delivered == Some(false))
+            .filter(|e| {
+                entries
+                    .iter()
+                    .any(|o| o.class == FrameClass::WihdData && o.start < e.end && e.start < o.end)
+            })
+            .count()
+    }
+
+    fn entry(src: usize, class: FrameClass, us: (u64, u64), delivered: Option<bool>) -> TxLogEntry {
+        TxLogEntry {
+            start: SimTime::from_micros(us.0),
+            end: SimTime::from_micros(us.1),
+            src,
+            src_position: Point::new(0.0, 0.0),
+            src_orientation: Angle::ZERO,
+            dst: None,
+            class,
+            pattern: PatKey::Dir(0),
+            mcs: None,
+            seq: 0,
+            delivered,
+        }
+    }
+
+    #[test]
+    fn abutting_frames_do_not_overlap() {
+        let fail = Some(false);
+        let log = [
+            entry(2, FrameClass::WihdData, (0, 5), None),
+            entry(0, FrameClass::Data, (5, 9), fail),
+            entry(2, FrameClass::WihdData, (9, 12), None),
+            entry(0, FrameClass::Data, (11, 14), fail),
+        ];
+        assert_eq!(overlapped_failures(&log[..3], 0), 0);
+        assert_eq!(overlapped_failures(&log, 0), 1);
+        assert_eq!(overlapped_failures_reference(&log, 0), 1);
+    }
+
+    #[test]
+    fn overlap_count_matches_the_quadratic_scan() {
+        // Starts on a 1 µs grid with 0–2 µs steps and durations of 0–5 µs:
+        // abutting frames, equal starts and zero-length frames all occur.
+        let mut counted = 0;
+        for seed in 1..=40 {
+            let mut rng = SimRng::root(seed).stream("fig21-overlap");
+            let mut start = 0;
+            let log: Vec<TxLogEntry> = (0..300)
+                .map(|_| {
+                    start += rng.next_u64() % 3;
+                    let end = start + rng.next_u64() % 6;
+                    let (src, class) = match rng.next_u64() % 4 {
+                        0 => (2, FrameClass::WihdData),
+                        1 => (0, FrameClass::Ack),
+                        2 => (1, FrameClass::Data),
+                        _ => (0, FrameClass::Data),
+                    };
+                    let delivered = [None, Some(true), Some(false)][(rng.next_u64() % 3) as usize];
+                    entry(src, class, (start, end), delivered)
+                })
+                .collect();
+            for src in 0..3 {
+                let n = overlapped_failures(&log, src);
+                assert_eq!(
+                    n,
+                    overlapped_failures_reference(&log, src),
+                    "seed {seed}, src {src}"
+                );
+                counted += n;
+            }
+        }
+        assert!(
+            counted > 0,
+            "the synthetic logs must contain overlapped failures"
+        );
+    }
 }

@@ -127,7 +127,7 @@ fn wall_mutations_between_pairs_rebuild_the_tree() {
                 // Toggle a wall (30%): the tree's reflective set changes.
                 0..=2 => {
                     let idx = (rng.next_u64() as usize) % room.walls().len();
-                    let enabled = rng.next_u64() % 2 == 0;
+                    let enabled = rng.next_u64() & 1 == 0;
                     room.set_wall_enabled(idx, enabled);
                 }
                 // Move a wall (20%): anchors and directions change.

@@ -318,18 +318,25 @@ impl Device {
 
     /// Stable cache identity of the pattern `key` resolves to — equal ids
     /// on one device always denote identical pattern samples. Directional
-    /// sectors map to their index; WiGig quasi-omni entries carry a
-    /// high-bit flag (they live in a separate codebook); the WiHD
-    /// quasi-omni alias folds onto the directional sector that
-    /// [`Device::pattern`] resolves it to, so the cache sees through the
-    /// aliasing.
+    /// sectors map to their index; WiGig quasi-omni entries carry a flag
+    /// bit (they live in a separate codebook); the WiHD quasi-omni alias
+    /// folds onto the directional sector that [`Device::pattern`] resolves
+    /// it to, so the cache sees through the aliasing. Ids fit the cache's
+    /// 16-bit field: indices below 2¹⁵ plus the flag at bit 15.
     pub fn pat_id(&self, key: PatKey) -> mmwave_channel::PatId {
-        const QO_BIT: u32 = 1 << 31;
+        const QO_BIT: u32 = 1 << 15;
+        let index = |i: usize| {
+            assert!(
+                i < QO_BIT as usize,
+                "pattern index {i} collides with the quasi-omni flag"
+            );
+            i as u32
+        };
         mmwave_channel::PatId(match (&self.kind, key) {
-            (DevKind::Wigig(_), PatKey::Dir(i)) => i as u32,
-            (DevKind::Wigig(_), PatKey::Qo(i)) => QO_BIT | i as u32,
-            (DevKind::Wihd(_), PatKey::Dir(i)) => i as u32,
-            (DevKind::Wihd(w), PatKey::Qo(i)) => (i % w.codebook.len()) as u32,
+            (DevKind::Wigig(_), PatKey::Dir(i)) => index(i),
+            (DevKind::Wigig(_), PatKey::Qo(i)) => QO_BIT | index(i),
+            (DevKind::Wihd(_), PatKey::Dir(i)) => index(i),
+            (DevKind::Wihd(w), PatKey::Qo(i)) => index(i % w.codebook.len()),
         })
     }
 
@@ -464,5 +471,18 @@ mod tests {
             h.pattern(PatKey::Qo(n + 2)),
             h.pattern(PatKey::Dir(2))
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "collides with the quasi-omni flag")]
+    fn pat_id_refuses_an_index_that_would_alias_the_flag() {
+        let w = Device::wigig_laptop(
+            &SimCtx::new(),
+            "laptop",
+            Point::new(0.0, 0.0),
+            Angle::ZERO,
+            11,
+        );
+        w.pat_id(PatKey::Dir(1 << 15));
     }
 }

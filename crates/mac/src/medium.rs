@@ -25,8 +25,6 @@ pub struct ActiveTx {
     pub id: u64,
     /// The frame.
     pub frame: Frame,
-    /// The transmit pattern used.
-    pub pattern: PatKey,
     /// Start time.
     pub start: SimTime,
     /// Scheduled end time.
@@ -287,12 +285,8 @@ impl Medium {
             _ => None,
         };
         if let Some(coupled) = coupled {
-            for d in 0..devices.len() {
-                power_at.push(if d == src {
-                    -300.0
-                } else {
-                    -300.0 + link_offsets[d]
-                });
+            for (d, &offset) in link_offsets[..devices.len()].iter().enumerate() {
+                power_at.push(if d == src { -300.0 } else { -300.0 + offset });
             }
             for &d in &coupled {
                 power_at[d] = self.rx_power_dbm(env, devices, src, pattern, d, extra_power_db)
@@ -340,7 +334,6 @@ impl Medium {
         self.active.push(ActiveTx {
             id,
             frame,
-            pattern,
             start,
             end,
             power_at,
@@ -462,6 +455,18 @@ mod tests {
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
+    }
+
+    #[test]
+    fn active_tx_moves_inline() {
+        // Every frame moves an `ActiveTx` into `active` and back out of
+        // `finish_tx`. Up to 128 bytes, x86-64 builds copy it with inline
+        // moves; at 144 bytes each move was a `memcpy` call.
+        assert!(
+            std::mem::size_of::<ActiveTx>() <= 128,
+            "{}",
+            std::mem::size_of::<ActiveTx>()
+        );
     }
 
     #[test]

@@ -30,12 +30,8 @@ use std::collections::HashMap;
 pub(crate) enum NetEv {
     /// A transmission finished.
     TxEnd { tx_id: u64 },
-    /// Put a prepared frame on the air now.
-    SendFrame {
-        frame: Frame,
-        pattern: PatKey,
-        extra_power_db: f64,
-    },
+    /// Put a deferred payload-free frame on the air now.
+    SendFrame(DeferredFrame),
     /// Unassociated dock: emit a discovery sweep.
     DiscoveryTick { dev: usize },
     /// Association handshake finished; train and go to data phase.
@@ -62,6 +58,123 @@ pub(crate) enum NetEv {
     WihdPairComplete { source: usize, sink: usize },
     /// Apply the `idx`-th installed scenario mutation.
     Scenario { idx: usize },
+}
+
+/// The payload-free frames a protocol schedules for later: discovery
+/// sub-elements, training frames, beacon replies, CTS and ACK.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum DeferredKind {
+    /// One sub-element of a discovery sweep; its sub-element index is the
+    /// quasi-omni entry it radiates.
+    DiscoverySub,
+    /// Association handshake frame.
+    Training,
+    /// WiGig beacon (the station's reply).
+    Beacon,
+    /// Clear to send.
+    Cts,
+    /// Block acknowledgement.
+    Ack,
+}
+
+/// A deferred frame packed into three words: no payload, device and
+/// pattern indices narrowed to `u32`. `NetEv::SendFrame` carries it, so a
+/// queue entry stays small; [`Net::start_deferred_tx`] rebuilds the
+/// [`Frame`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct DeferredFrame {
+    seq: u64,
+    src: u32,
+    /// Destination, or [`DeferredFrame::BROADCAST`].
+    dst: u32,
+    /// Codebook index of the transmit pattern.
+    pattern_idx: u32,
+    /// The pattern is a quasi-omni entry, not a directional sector.
+    quasi_omni: bool,
+    kind: DeferredKind,
+}
+
+impl DeferredFrame {
+    const BROADCAST: u32 = u32::MAX;
+
+    pub(crate) fn new(
+        src: usize,
+        dst: Option<usize>,
+        kind: DeferredKind,
+        seq: u64,
+        pattern: PatKey,
+    ) -> DeferredFrame {
+        let narrow = |i: usize| {
+            assert!(
+                i < Self::BROADCAST as usize,
+                "index {i} overflows a deferred frame"
+            );
+            i as u32
+        };
+        let (quasi_omni, idx) = match pattern {
+            PatKey::Dir(i) => (false, i),
+            PatKey::Qo(i) => (true, i),
+        };
+        DeferredFrame {
+            seq,
+            src: narrow(src),
+            dst: dst.map_or(Self::BROADCAST, narrow),
+            pattern_idx: narrow(idx),
+            quasi_omni,
+            kind,
+        }
+    }
+
+    fn pattern(self) -> PatKey {
+        let i = self.pattern_idx as usize;
+        if self.quasi_omni {
+            PatKey::Qo(i)
+        } else {
+            PatKey::Dir(i)
+        }
+    }
+
+    fn frame(self) -> Frame {
+        let kind = match self.kind {
+            DeferredKind::DiscoverySub => FrameKind::DiscoverySub {
+                pattern_idx: self.pattern_idx as usize,
+            },
+            DeferredKind::Training => FrameKind::Training,
+            DeferredKind::Beacon => FrameKind::Beacon,
+            DeferredKind::Cts => FrameKind::Cts,
+            DeferredKind::Ack => FrameKind::Ack,
+        };
+        Frame {
+            src: self.src as usize,
+            dst: (self.dst != Self::BROADCAST).then_some(self.dst as usize),
+            kind,
+            seq: self.seq,
+        }
+    }
+}
+
+/// Spent MPDU buffers awaiting reuse, the [`Medium::recycle_power`]
+/// pattern for data PPDUs. Each PPDU takes two buffers, the on-air copy and
+/// the one awaiting the ACK; they come back at the TxEnd and at the ACK,
+/// the ACK timeout or a link break. At most two buffers per WiGig device
+/// are out at once, so the pool stays that small and the saturated data
+/// path allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct MpduPool(Vec<Vec<Mpdu>>);
+
+impl MpduPool {
+    /// An empty buffer with room for `cap` MPDUs.
+    pub(crate) fn take(&mut self, cap: usize) -> Vec<Mpdu> {
+        let mut v = self.0.pop().unwrap_or_default();
+        v.reserve(cap);
+        v
+    }
+
+    /// Return a spent buffer.
+    pub(crate) fn put(&mut self, mut v: Vec<Mpdu>) {
+        v.clear();
+        self.0.push(v);
+    }
 }
 
 /// Something the MAC hands up to the transport layer.
@@ -168,6 +281,8 @@ pub struct Net {
     /// Reusable fading-offset buffer for [`Net::start_tx`] (one entry per
     /// device, rebuilt per frame without reallocating).
     offsets_scratch: Vec<f64>,
+    /// Spent MPDU buffers of data PPDUs, reused by the next PPDU.
+    pub(crate) mpdu_pool: MpduPool,
     /// Memoized `Mcs::per` evaluations keyed bit-exactly on
     /// `(mcs, sinr, bits, noise floor)`. On a static link every data frame
     /// evaluates the waterfall at identical inputs, so this trades two
@@ -211,6 +326,7 @@ impl Net {
             n_scenario_mutations: 0,
             n_faults_injected: 0,
             offsets_scratch: Vec::new(),
+            mpdu_pool: MpduPool::default(),
             per_memo: Vec::new(),
             noise_memo: None,
         }
@@ -627,14 +743,10 @@ impl Net {
                 }
             }
             for d in &self.devices {
-                if room.zone_of(d.node.position).is_none() {
-                    return None;
-                }
+                room.zone_of(d.node.position)?;
             }
             for m in &self.monitors {
-                if room.zone_of(m.node.position).is_none() {
-                    return None;
-                }
+                room.zone_of(m.node.position)?;
             }
             Some(affected)
         })();
@@ -690,12 +802,12 @@ impl Net {
         }
         let key = (a.min(b), a.max(b));
         let now = self.now;
-        let seed_rng = SimRng::root(self.cfg.seed);
+        let seed = self.cfg.seed;
         self.fading
             .entry(key)
             .or_insert_with(|| {
                 Ar1Fading::indoor_default(
-                    seed_rng.stream_n("link-fading", (key.0 as u64) << 32 | key.1 as u64),
+                    SimRng::root(seed).stream_n("link-fading", (key.0 as u64) << 32 | key.1 as u64),
                 )
             })
             .level_at(now)
@@ -766,6 +878,18 @@ impl Net {
         (tx_id, end)
     }
 
+    /// Put a payload-free frame on the air now. Control-PHY frames carry
+    /// the control power boost (§3.2); CTS and ACK go out at data power.
+    pub(crate) fn start_deferred_tx(&mut self, f: DeferredFrame) {
+        let extra_power_db = match f.kind {
+            DeferredKind::DiscoverySub | DeferredKind::Training | DeferredKind::Beacon => {
+                self.cfg.control_power_offset_db
+            }
+            DeferredKind::Cts | DeferredKind::Ack => 0.0,
+        };
+        self.start_tx(f.frame(), f.pattern(), extra_power_db);
+    }
+
     /// Allocate the next frame sequence number.
     pub(crate) fn next_seq(&mut self) -> u64 {
         self.seq += 1;
@@ -812,13 +936,7 @@ impl Net {
     fn dispatch(&mut self, ev: NetEv) {
         match ev {
             NetEv::TxEnd { tx_id } => self.on_tx_end(tx_id),
-            NetEv::SendFrame {
-                frame,
-                pattern,
-                extra_power_db,
-            } => {
-                self.start_tx(frame, pattern, extra_power_db);
-            }
+            NetEv::SendFrame(f) => self.start_deferred_tx(f),
             NetEv::DiscoveryTick { dev } => wigig::on_discovery_tick(self, dev),
             NetEv::AssocComplete { dock, station } => {
                 wigig::complete_association(self, dock, station)
@@ -892,6 +1010,9 @@ impl Net {
             }
         }
         self.medium.recycle_power(tx.power_at);
+        if let FrameKind::Data { mpdus, .. } = tx.frame.kind {
+            self.mpdu_pool.put(mpdus);
+        }
     }
 
     /// Noise floor as `(linear mW, dB)` via the `noise_memo` field.
@@ -923,5 +1044,109 @@ impl Net {
         }
         self.per_memo.push((key, p));
         p
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mmwave_geom::Room;
+
+    #[test]
+    fn net_events_stay_small() {
+        // A deferred frame carries no payload, so `NetEv` is 24 bytes and a
+        // queue entry 40 (with the queue's time and sequence number).
+        assert!(
+            std::mem::size_of::<NetEv>() <= 32,
+            "{}",
+            std::mem::size_of::<NetEv>()
+        );
+    }
+
+    #[test]
+    fn deferred_frames_go_on_air_as_their_call_sites_built_them() {
+        use DeferredKind as K;
+        use FrameClass as C;
+        use PatKey::{Dir, Qo};
+        let ctx = SimCtx::new();
+        let cfg = NetConfig {
+            enable_fading: false,
+            ..NetConfig::default()
+        };
+        let boost = cfg.control_power_offset_db;
+        let mut net = Net::with_ctx(Environment::new(Room::open_space()), cfg, &ctx);
+        let (east, west) = (Angle::ZERO, Angle::from_degrees(180.0));
+        let mut add = |d: Device| net.add_device(d);
+        let dock = add(Device::wigig_dock(
+            &ctx,
+            "d",
+            Point::new(0.0, 0.0),
+            east,
+            16,
+        ));
+        let laptop = add(Device::wigig_laptop(
+            &ctx,
+            "l",
+            Point::new(3.0, 0.0),
+            west,
+            111,
+        ));
+        let source = add(Device::wihd_source(
+            &ctx,
+            "s",
+            Point::new(0.0, 2.0),
+            east,
+            9,
+        ));
+        let sink = add(Device::wihd_sink(&ctx, "k", Point::new(3.0, 2.0), west, 22));
+        // The six call sites: WiGig discovery sub-element, training frame,
+        // the station's beacon reply, CTS, ACK and WiHD discovery sub-element.
+        let sent = [
+            (dock, None, K::DiscoverySub, Qo(5)),
+            (laptop, Some(dock), K::Training, Qo(0)),
+            (laptop, Some(dock), K::Beacon, Qo(7)),
+            (laptop, Some(dock), K::Cts, Dir(11)),
+            (dock, Some(laptop), K::Ack, Dir(20)),
+            (source, None, K::DiscoverySub, Qo(3)),
+        ];
+        // What each must put on the air: the logged class, and the power
+        // boost its call site gave it, measured at a probe device.
+        let expected = [
+            (C::DiscoverySub, laptop, boost),
+            (C::Training, dock, boost),
+            (C::Beacon, dock, boost),
+            (C::Control, dock, 0.0),
+            (C::Ack, laptop, 0.0),
+            (C::DiscoverySub, sink, boost),
+        ];
+        for (i, (&(src, dst, kind, pattern), &(class, probe, extra))) in
+            sent.iter().zip(&expected).enumerate()
+        {
+            // One frame per millisecond, so each is alone on the air.
+            let t = SimTime::from_millis(i as u64 + 1);
+            let seq = 1000 + i as u64;
+            let frame = DeferredFrame::new(src, dst, kind, seq, pattern);
+            net.queue.schedule(t, NetEv::SendFrame(frame));
+            net.run_until(t);
+            let e = *net.txlog().entries().last().expect("frame logged");
+            assert_eq!(
+                (e.start, e.src, e.dst, e.class, e.seq, e.pattern),
+                (t, src, dst, class, seq, pattern),
+                "frame {i}"
+            );
+            let want = net.medium_rx_power_dbm(src, pattern, probe) + extra;
+            let got = net.medium().energy_at(probe);
+            assert!(
+                (got - want).abs() < 1e-9,
+                "frame {i}: {got} dBm, want {want}"
+            );
+        }
+        assert_eq!(net.txlog().len(), sent.len());
+        // A discovery sub-element's index is the quasi-omni entry it radiates.
+        let sub = DeferredFrame::new(dock, None, K::DiscoverySub, 1, Qo(5));
+        assert!(matches!(
+            sub.frame().kind,
+            FrameKind::DiscoverySub { pattern_idx: 5 }
+        ));
     }
 }

@@ -8,8 +8,8 @@
 //! hook (the joint rate/beam process inferred from Fig. 14).
 
 use crate::device::{PatKey, WigigState};
-use crate::frame::{airtime, Frame, FrameKind, Mpdu};
-use crate::net::{Delivery, Net, NetEv};
+use crate::frame::{airtime, Frame, FrameKind};
+use crate::net::{DeferredFrame, DeferredKind, Delivery, Net, NetEv};
 use crate::{medium::ActiveTx, training};
 use mmwave_geom::Angle;
 use mmwave_sim::time::SimDuration;
@@ -65,25 +65,12 @@ pub(crate) fn on_discovery_tick(net: &mut Net, dev: usize) {
     let now = net.now();
     for i in 0..n_subs {
         let seq = net.next_seq();
-        let frame = Frame {
-            src: dev,
-            dst: None,
-            kind: FrameKind::DiscoverySub { pattern_idx: i },
-            seq,
-        };
-        let pattern = PatKey::Qo(i);
-        let extra = net.cfg.control_power_offset_db;
+        let frame = DeferredFrame::new(dev, None, DeferredKind::DiscoverySub, seq, PatKey::Qo(i));
         if i == 0 {
-            net.start_tx(frame, pattern, extra);
+            net.start_deferred_tx(frame);
         } else {
-            net.queue.schedule(
-                now + sub_dur * i as u32,
-                NetEv::SendFrame {
-                    frame,
-                    pattern,
-                    extra_power_db: extra,
-                },
-            );
+            net.queue
+                .schedule(now + sub_dur * i as u32, NetEv::SendFrame(frame));
         }
     }
     net.queue
@@ -132,22 +119,9 @@ fn check_discovery_response(net: &mut Net, dock: usize) {
     .enumerate()
     {
         let seq = net.next_seq();
-        let frame = Frame {
-            src,
-            dst: Some(dst),
-            kind: FrameKind::Training,
-            seq,
-        };
-        let extra = net.cfg.control_power_offset_db;
+        let frame = DeferredFrame::new(src, Some(dst), DeferredKind::Training, seq, PatKey::Qo(0));
         let at = net.now() + SimDuration::from_micros(120 * (i as u64 + 1));
-        net.queue.schedule(
-            at,
-            NetEv::SendFrame {
-                frame,
-                pattern: PatKey::Qo(0),
-                extra_power_db: extra,
-            },
-        );
+        net.queue.schedule(at, NetEv::SendFrame(frame));
     }
     for d in [dock, station] {
         if let Some(w) = net.devices[d].wigig_mut() {
@@ -262,6 +236,7 @@ pub(crate) fn break_link(net: &mut Net, a: usize, b: usize) {
             if let Some(aa) = w.awaiting_ack.take() {
                 ids.push(aa.timeout);
                 lost.extend(aa.mpdus.iter().map(|m| m.tag));
+                net.mpdu_pool.put(aa.mpdus);
             }
             if let Some(id) = w.pending_cts.take() {
                 ids.push(id);
@@ -646,7 +621,7 @@ fn backoff_and_contend(net: &mut Net, dev: usize) {
 pub(crate) fn send_next_data(net: &mut Net, dev: usize) {
     let params = net.cfg.params;
     let now = net.now();
-    let (peer, sector, mcs, mpdus) = {
+    let (peer, sector, mcs, max_aggregation, mpdus) = {
         let Some(w) = net.devices[dev].wigig_mut() else {
             return;
         };
@@ -670,12 +645,13 @@ pub(crate) fn send_next_data(net: &mut Net, dev: usize) {
         let mcs = w.adapter.current().index;
         let rate = w.adapter.current().rate_bps;
         // Aggregate as long as the PPDU stays under the duration cap and
-        // the aggregation limit.
-        let mut mpdus: Vec<Mpdu> = Vec::new();
+        // the aggregation limit, into a buffer from the net's pool.
+        let max_aggregation = w.cfg.max_aggregation;
+        let mut mpdus = net.mpdu_pool.take(max_aggregation);
         // Running bit total keeps the duration check O(1) per candidate;
         // it matches `data_airtime`'s sum over the same MPDUs exactly.
         let mut bits: u64 = 0;
-        while mpdus.len() < w.cfg.max_aggregation {
+        while mpdus.len() < max_aggregation {
             let Some(&next) = w.queue.front() else { break };
             bits += (next.bytes + params.mpdu_overhead_bytes) as u64 * 8;
             mpdus.push(next);
@@ -692,9 +668,16 @@ pub(crate) fn send_next_data(net: &mut Net, dev: usize) {
         }
         // The remaining queue head starts a fresh batch-wait window.
         w.oldest_wait_start = now;
-        (w.peer.expect("associated"), w.tx_sector, mcs, mpdus)
+        (
+            w.peer.expect("associated"),
+            w.tx_sector,
+            mcs,
+            max_aggregation,
+            mpdus,
+        )
     };
     if mpdus.is_empty() {
+        net.mpdu_pool.put(mpdus);
         return;
     }
     let retry = net.devices[dev].wigig().map(|w| w.retry).unwrap_or(0);
@@ -703,11 +686,13 @@ pub(crate) fn send_next_data(net: &mut Net, dev: usize) {
         net.devices[dev].stats.data_retx += 1;
     }
     let seq = net.next_seq();
+    let mut on_air = net.mpdu_pool.take(max_aggregation);
+    on_air.extend_from_slice(&mpdus);
     let frame = Frame {
         src: dev,
         dst: Some(peer),
         kind: FrameKind::Data {
-            mpdus: mpdus.clone(),
+            mpdus: on_air,
             mcs,
             retry,
         },
@@ -740,16 +725,18 @@ pub(crate) fn on_ack_timeout(net: &mut Net, dev: usize) {
         w.retry += 1;
         w.cw = (w.cw * 2).min(cw_max);
         w.in_txop = false;
-        if w.retry > retry_limit {
+        let dropped = if w.retry > retry_limit {
             w.retry = 0;
             Some(aa.mpdus.iter().map(|m| m.tag).collect())
         } else {
             // Requeue at the front, preserving order.
-            for m in aa.mpdus.into_iter().rev() {
+            for &m in aa.mpdus.iter().rev() {
                 w.queue.push_front(m);
             }
             None
-        }
+        };
+        net.mpdu_pool.put(aa.mpdus);
+        dropped
     };
     net.devices[dev].stats.ack_timeouts += 1;
     if let Some(tags) = dropped {
@@ -799,23 +786,12 @@ pub(crate) fn on_frame_end(net: &mut Net, tx: &ActiveTx, delivered: Option<bool>
                     .unwrap_or(false);
                 if reply_is_due && !net.medium.is_transmitting(me) {
                     let seq = net.next_seq();
-                    let frame = Frame {
-                        src: me,
-                        dst: Some(peer),
-                        kind: FrameKind::Beacon,
-                        seq,
-                    };
-                    let extra = net.cfg.control_power_offset_db;
+                    let pattern = PatKey::Qo((seq % 32) as usize);
+                    let frame =
+                        DeferredFrame::new(me, Some(peer), DeferredKind::Beacon, seq, pattern);
                     let at = net.now() + sifs;
                     net.devices[me].stats.beacons_tx += 1;
-                    net.queue.schedule(
-                        at,
-                        NetEv::SendFrame {
-                            frame,
-                            pattern: PatKey::Qo((seq % 32) as usize),
-                            extra_power_db: extra,
-                        },
-                    );
+                    net.queue.schedule(at, NetEv::SendFrame(frame));
                 }
             }
             Some(false) => note_beacon_loss(net, tx.frame.src),
@@ -837,21 +813,15 @@ pub(crate) fn on_frame_end(net: &mut Net, tx: &ActiveTx, delivered: Option<bool>
                     .map(|w| w.tx_sector)
                     .unwrap_or(0);
                 let seq = net.next_seq();
-                let frame = Frame {
-                    src: responder,
-                    dst: Some(tx.frame.src),
-                    kind: FrameKind::Cts,
+                let frame = DeferredFrame::new(
+                    responder,
+                    Some(tx.frame.src),
+                    DeferredKind::Cts,
                     seq,
-                };
-                let at = net.now() + sifs;
-                net.queue.schedule(
-                    at,
-                    NetEv::SendFrame {
-                        frame,
-                        pattern: PatKey::Dir(sector),
-                        extra_power_db: 0.0,
-                    },
+                    PatKey::Dir(sector),
                 );
+                let at = net.now() + sifs;
+                net.queue.schedule(at, NetEv::SendFrame(frame));
             } else {
                 net.devices[responder].stats.cs_defers += 1;
             }
@@ -885,21 +855,15 @@ pub(crate) fn on_frame_end(net: &mut Net, tx: &ActiveTx, delivered: Option<bool>
                 .map(|w| w.tx_sector)
                 .unwrap_or(0);
             let seq = net.next_seq();
-            let frame = Frame {
-                src: receiver,
-                dst: Some(tx.frame.src),
-                kind: FrameKind::Ack,
+            let frame = DeferredFrame::new(
+                receiver,
+                Some(tx.frame.src),
+                DeferredKind::Ack,
                 seq,
-            };
-            let at = net.now() + sifs;
-            net.queue.schedule(
-                at,
-                NetEv::SendFrame {
-                    frame,
-                    pattern: PatKey::Dir(sector),
-                    extra_power_db: 0.0,
-                },
+                PatKey::Dir(sector),
             );
+            let at = net.now() + sifs;
+            net.queue.schedule(at, NetEv::SendFrame(frame));
         }
         FrameKind::Ack if delivered == Some(true) => {
             let owner = tx.frame.dst.expect("ack addressed");
@@ -915,6 +879,7 @@ pub(crate) fn on_frame_end(net: &mut Net, tx: &ActiveTx, delivered: Option<bool>
                     w.cw = 16;
                     w.ack_fail_streak = 0;
                     w.loss_recovery_attempts = 0;
+                    net.mpdu_pool.put(aa.mpdus);
                     Some(aa.timeout)
                 } else {
                     None

@@ -9,7 +9,7 @@
 use crate::device::PatKey;
 use crate::frame::{Frame, FrameKind};
 use crate::medium::ActiveTx;
-use crate::net::{Net, NetEv};
+use crate::net::{DeferredFrame, DeferredKind, Net, NetEv};
 use crate::training;
 use mmwave_sim::time::SimDuration;
 
@@ -44,25 +44,13 @@ pub(crate) fn on_discovery_tick(net: &mut Net, dev: usize) {
     net.devices[dev].stats.discovery_sweeps += 1;
     for (slot, &pattern_idx) in order.iter().enumerate() {
         let seq = net.next_seq();
-        let frame = Frame {
-            src: dev,
-            dst: None,
-            kind: FrameKind::DiscoverySub { pattern_idx },
-            seq,
-        };
         let pattern = PatKey::Qo(pattern_idx);
-        let extra = net.cfg.control_power_offset_db;
+        let frame = DeferredFrame::new(dev, None, DeferredKind::DiscoverySub, seq, pattern);
         if slot == 0 {
-            net.start_tx(frame, pattern, extra);
+            net.start_deferred_tx(frame);
         } else {
-            net.queue.schedule(
-                now + sub_dur * slot as u32,
-                NetEv::SendFrame {
-                    frame,
-                    pattern,
-                    extra_power_db: extra,
-                },
-            );
+            net.queue
+                .schedule(now + sub_dur * slot as u32, NetEv::SendFrame(frame));
         }
     }
     // Pairing check shortly after the sweep completes.

@@ -254,7 +254,7 @@ fn log_inner(x: f64) -> f64 {
 #[inline(always)]
 pub fn log10(x: f64) -> f64 {
     let ix = x.to_bits();
-    if !(x > 0.0) || ix >= 0x7ff0000000000000 {
+    if x.is_nan() || x <= 0.0 || ix >= 0x7ff0000000000000 {
         return x.log10();
     }
     let mut k: i64 = 0;
@@ -393,8 +393,7 @@ pub fn pattern_db_slice(
         }
         // Log10 fallback scan over the normalized powers.
         let mut lfb = false;
-        for j in 0..LANES {
-            let v = pw[j];
+        for &v in &pw {
             let ok = (v >= f64::from_bits(0x0010000000000000)) & (v < f64::INFINITY);
             lfb |= !(ok | (v == 0.0));
         }

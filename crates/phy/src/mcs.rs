@@ -109,39 +109,54 @@ fn per_at(x: f64, bits: u64) -> f64 {
     (1.0 - ok).clamp(0.0, 1.0)
 }
 
-/// The full single-carrier table (plus control PHY).
+const fn entry(
+    index: u8,
+    modulation: Modulation,
+    code_rate: (u8, u8),
+    rate_bps: u64,
+    sensitivity_dbm: f64,
+) -> Mcs {
+    Mcs {
+        index,
+        modulation,
+        code_rate,
+        rate_bps,
+        sensitivity_dbm,
+    }
+}
+
+/// The 802.11ad control + SC MCS set, built once at compile time.
+static IEEE_802_11AD: [Mcs; 13] = {
+    use Modulation::*;
+    [
+        entry(0, Dbpsk, (1, 2), 27_500_000, -78.0),
+        entry(1, Bpsk, (1, 2), 385_000_000, -68.0),
+        entry(2, Bpsk, (1, 2), 770_000_000, -66.0),
+        entry(3, Bpsk, (5, 8), 962_500_000, -65.0),
+        entry(4, Bpsk, (3, 4), 1_155_000_000, -64.0),
+        entry(5, Bpsk, (13, 16), 1_251_250_000, -62.0),
+        entry(6, Qpsk, (1, 2), 1_540_000_000, -63.0),
+        entry(7, Qpsk, (5, 8), 1_925_000_000, -62.0),
+        entry(8, Qpsk, (3, 4), 2_310_000_000, -61.0),
+        entry(9, Qpsk, (13, 16), 2_502_500_000, -59.0),
+        entry(10, Qam16, (1, 2), 3_080_000_000, -55.0),
+        entry(11, Qam16, (5, 8), 3_850_000_000, -54.0),
+        entry(12, Qam16, (3, 4), 4_620_000_000, -53.0),
+    ]
+};
+
+/// The full single-carrier table (plus control PHY): a view of one static
+/// table, so building one costs nothing.
 #[derive(Clone, Debug)]
 pub struct McsTable {
-    entries: Vec<Mcs>,
+    entries: &'static [Mcs],
 }
 
 impl McsTable {
     /// The 802.11ad control + SC MCS set.
     pub fn ieee_802_11ad() -> McsTable {
-        let e = |index, modulation, code_rate, mbps: f64, sensitivity_dbm| Mcs {
-            index,
-            modulation,
-            code_rate,
-            rate_bps: (mbps * 1e6) as u64,
-            sensitivity_dbm,
-        };
-        use Modulation::*;
         McsTable {
-            entries: vec![
-                e(0, Dbpsk, (1, 2), 27.5, -78.0),
-                e(1, Bpsk, (1, 2), 385.0, -68.0),
-                e(2, Bpsk, (1, 2), 770.0, -66.0),
-                e(3, Bpsk, (5, 8), 962.5, -65.0),
-                e(4, Bpsk, (3, 4), 1155.0, -64.0),
-                e(5, Bpsk, (13, 16), 1251.25, -62.0),
-                e(6, Qpsk, (1, 2), 1540.0, -63.0),
-                e(7, Qpsk, (5, 8), 1925.0, -62.0),
-                e(8, Qpsk, (3, 4), 2310.0, -61.0),
-                e(9, Qpsk, (13, 16), 2502.5, -59.0),
-                e(10, Qam16, (1, 2), 3080.0, -55.0),
-                e(11, Qam16, (5, 8), 3850.0, -54.0),
-                e(12, Qam16, (3, 4), 4620.0, -53.0),
-            ],
+            entries: &IEEE_802_11AD,
         }
     }
 

@@ -64,7 +64,7 @@ impl CcKind {
     }
 
     /// Parse a CLI/artifact identifier.
-    pub fn from_str(s: &str) -> Option<CcKind> {
+    pub fn parse(s: &str) -> Option<CcKind> {
         CcKind::ALL.into_iter().find(|k| k.as_str() == s)
     }
 
@@ -155,9 +155,9 @@ mod tests {
     #[test]
     fn kind_strings_round_trip() {
         for kind in CcKind::ALL {
-            assert_eq!(CcKind::from_str(kind.as_str()), Some(kind));
+            assert_eq!(CcKind::parse(kind.as_str()), Some(kind));
         }
-        assert_eq!(CcKind::from_str("vegas"), None);
+        assert_eq!(CcKind::parse("vegas"), None);
     }
 
     #[test]

@@ -167,8 +167,10 @@ impl FlowStats {
 pub struct TcpFlow {
     /// Flow id (index in the stack).
     pub id: u16,
-    /// Configuration.
-    pub cfg: TcpConfig,
+    /// Configuration, fixed at construction.
+    pub(crate) cfg: TcpConfig,
+    /// The window clamp in segments, `(window_bytes / mss).max(1)`.
+    window_clamp: f64,
     // --- sender (datapath) ---
     snd_una: u64,
     snd_nxt: u64,
@@ -237,6 +239,7 @@ impl TcpFlow {
             .unwrap_or(cc::CcKind::Reno);
         TcpFlow {
             id,
+            window_clamp: (cfg.window_bytes as f64 / cfg.mss as f64).max(1.0),
             cfg,
             snd_una: 0,
             snd_nxt: 0,
@@ -336,8 +339,7 @@ impl TcpFlow {
 
     /// Effective send window in segments.
     fn window_segments(&self) -> f64 {
-        let clamp = (self.cfg.window_bytes as f64 / self.cfg.mss as f64).max(1.0);
-        self.ctl_window.min(clamp)
+        self.ctl_window.min(self.window_clamp)
     }
 
     /// The next instant this flow needs servicing (RTO, pacing release,

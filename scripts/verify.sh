@@ -73,9 +73,9 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 echo "==> cargo clippy --all-targets"
-# Every target, tests and benches included, must get through clippy:
-# deny-level lints fail the gate, warnings stay warnings.
-cargo clippy --all-targets -q
+# Every target, tests and benches included, must get through clippy with
+# no warnings: any lint fails the gate.
+cargo clippy --all-targets -q -- -D warnings
 
 echo "==> forbidden-pattern gate (ambient state)"
 # All per-run state must live in mmwave_sim::ctx::SimCtx. Thread-locals
@@ -184,6 +184,11 @@ check_no_alloc crates/capture/src/trace.rs sample_into
 check_no_alloc crates/geom/src/raytrace.rs leg_is_clear
 check_no_alloc crates/geom/src/raytrace.rs legs_clear_fast
 check_no_alloc crates/channel/src/linkgain.rs weighted_sum
+# The per-frame MAC path: data PPDUs draw their MPDU buffers from the
+# net's pool and receive powers from the medium's.
+check_no_alloc crates/mac/src/wigig.rs send_next_data
+check_no_alloc crates/mac/src/net.rs start_tx
+check_no_alloc crates/mac/src/medium.rs begin_tx
 
 echo "==> cc_compare quick experiment"
 # The congestion plane's end-to-end check: loss-based and rate-based
