@@ -131,14 +131,15 @@ pub fn angular_profile(n: usize, measure: impl Fn(Angle) -> f64) -> AngularProfi
 /// Run the paper's semicircle beam-pattern scan: `n` positions on a
 /// semicircle of `radius` around `dut`, spanning the half-circle centred
 /// on the DUT's `facing` azimuth. At every position the horn points back
-/// at the DUT; `measure(position)` returns the average data-frame power
-/// in dBm. Output angles are positions relative to `facing`.
+/// at the DUT: `measure(position, look)` returns the average power in dBm
+/// the horn captures there when pointed along `look`. Output angles are
+/// positions relative to `facing`.
 pub fn semicircle_scan(
     n: usize,
     dut: Point,
     facing: Angle,
     radius: f64,
-    measure: impl Fn(Point) -> f64,
+    measure: impl Fn(Point, Angle) -> f64,
 ) -> Vec<ScanPoint> {
     assert!(n >= 2 && radius > 0.0);
     arc(n, Angle::from_degrees(-90.0), Angle::from_degrees(90.0))
@@ -146,9 +147,10 @@ pub fn semicircle_scan(
         .map(|rel| {
             let world = facing + rel;
             let pos = dut + world.unit() * radius;
+            let look = Angle::from_radians((dut - pos).angle());
             ScanPoint {
                 angle: rel,
-                power_dbm: measure(pos),
+                power_dbm: measure(pos, look),
             }
         })
         .collect()
@@ -204,8 +206,11 @@ mod tests {
         let dut = Point::new(2.0, 3.0);
         let facing = Angle::from_degrees(90.0);
         let seen = std::cell::RefCell::new(Vec::new());
-        let pts = semicircle_scan(100, dut, facing, 3.2, |pos| {
+        let pts = semicircle_scan(100, dut, facing, 3.2, |pos, look| {
             seen.borrow_mut().push(pos);
+            // The horn looks back at the DUT.
+            let back = pos + look.unit() * 3.2;
+            assert!(dut.distance(back) < 1e-9, "{pos:?} looks along {look}");
             -50.0
         });
         let seen = seen.into_inner();

@@ -1,5 +1,6 @@
 //! Positioned, oriented radios.
 
+use crate::propagate::LinkEnd;
 use mmwave_geom::{Angle, Point};
 use mmwave_phy::AntennaPattern;
 use std::fmt;
@@ -51,10 +52,10 @@ impl RadioNode {
         Angle::from_radians((p - self.position).angle())
     }
 
-    /// Gain of `pattern` (mounted on this node) towards the world azimuth
-    /// `world_dir`, in dBi.
-    pub fn gain_toward(&self, pattern: &AntennaPattern, world_dir: Angle) -> f64 {
-        pattern.gain_dbi(self.to_local(world_dir))
+    /// This node as one end of a link, using `pattern` (mounted on this
+    /// node, so its boresight is the node's orientation).
+    pub fn with_pattern<'a>(&self, pattern: &'a AntennaPattern) -> LinkEnd<'a> {
+        LinkEnd::new(self.orientation, pattern)
     }
 
     /// Point the boresight at a target position.
@@ -107,9 +108,10 @@ mod tests {
         let pat = AntennaPattern::from_fn(720, |a| 20.0 - a.distance(Angle::ZERO).to_degrees());
         let n = RadioNode::new(0, "a", Point::ORIGIN, Angle::from_degrees(45.0));
         // Towards 45° world = boresight: full gain.
-        assert!((n.gain_toward(&pat, Angle::from_degrees(45.0)) - 20.0).abs() < 0.01);
+        let end = n.with_pattern(&pat);
+        assert!((end.gain_toward(Angle::from_degrees(45.0)) - 20.0).abs() < 0.01);
         // Towards 75° world = 30° off boresight.
-        assert!((n.gain_toward(&pat, Angle::from_degrees(75.0)) - (20.0 - 30.0)).abs() < 0.1);
+        assert!((end.gain_toward(Angle::from_degrees(75.0)) - (20.0 - 30.0)).abs() < 0.1);
     }
 
     #[test]

@@ -1,18 +1,12 @@
-//! Pattern-weighted multipath power and SINR.
-//!
-//! [`link_state`] computes a link from first principles: every traced
-//! path, weighted by both antenna patterns, in one power sum. It is the
-//! reference that the spatial-pruning audit in `mmwave_mac::Medium` and
-//! the pruning property tests check against. The other radiometric
-//! consumers sum the same per-path terms in their own loops:
-//!
-//! * the MAC's frame delivery and interference read
-//!   [`crate::LinkGainCache`], memoized per device pair and pattern;
-//! * capture-trace amplitudes come from `mmwave_core::replay`'s per-path
-//!   sum at the tap;
-//! * Fig. 22's busy-segment monitor sums in `Net::record_monitors`;
-//! * the angular-profile scans sum in `mmwave_core`'s
-//!   `analysis::reflections::measure_profile`.
+//! The link budget's one home: every received power in the workspace is
+//! [`path_rx_dbm`] (one path), [`multipath_rx_dbm`] (their incoherent sum,
+//! in path order) or [`gain_rx_dbm`] (the same tail on a memoized
+//! [`crate::LinkGainCache`] gain: the MAC's frame delivery, interference
+//! and sector training). [`link_state`] is the reference the pruning audit
+//! in `mmwave_mac::Medium` and the pruning property tests check against;
+//! Fig. 22's monitor, `mmwave_core::replay`'s trace amplitudes, the
+//! angular-profile scans, Fig. 14's probe and the geometric MAC's
+//! interference map call the sum or the term directly.
 //!
 //! Multipath components combine *incoherently* (power sum): with
 //! 1.76 GHz of bandwidth, path delay differences of even 20 cm exceed the
@@ -23,8 +17,30 @@
 
 use crate::environment::Environment;
 use crate::node::RadioNode;
-use mmwave_geom::PropPath;
+use mmwave_geom::{Angle, PropPath};
 use mmwave_phy::{db_to_lin, lin_to_db, AntennaPattern};
+
+/// One end of a link as the budget sees it: the world azimuth its array
+/// boresight points at and the pattern it radiates or listens with.
+#[derive(Clone, Copy, Debug)]
+pub struct LinkEnd<'a> {
+    /// World azimuth of the array boresight.
+    pub boresight: Angle,
+    /// The pattern in use.
+    pub pattern: &'a AntennaPattern,
+}
+
+impl<'a> LinkEnd<'a> {
+    /// An end whose boresight points at `boresight`, using `pattern`.
+    pub fn new(boresight: Angle, pattern: &'a AntennaPattern) -> LinkEnd<'a> {
+        LinkEnd { boresight, pattern }
+    }
+
+    /// Gain towards the world azimuth `world_dir`, in dBi.
+    pub fn gain_toward(&self, world_dir: Angle) -> f64 {
+        self.pattern.gain_dbi(world_dir - self.boresight)
+    }
+}
 
 /// One path with its received power after pattern weighting.
 #[derive(Clone, Debug)]
@@ -44,21 +60,57 @@ pub struct LinkState {
     pub total_dbm: f64,
 }
 
-impl LinkState {
-    /// The strongest path, if any path exists.
-    pub fn dominant(&self) -> Option<&PathGain> {
-        self.paths.first()
-    }
+/// Received power over `path` from `tx` at `rx`, dBm: the budget with both
+/// pattern gains, then the transmitter's `tx_power_offset_db`, the frame's
+/// `extra_power_db` and the scene's `extra_loss_db`, added in that order.
+pub fn path_rx_dbm(
+    env: &Environment,
+    path: &PropPath,
+    tx: LinkEnd,
+    rx: LinkEnd,
+    tx_power_offset_db: f64,
+    extra_power_db: f64,
+) -> f64 {
+    let (ga, gb) = (tx.gain_toward(path.departure), rx.gain_toward(path.arrival));
+    env.budget.rx_power_dbm(ga, gb, path) + tx_power_offset_db + extra_power_db - env.extra_loss_db
+}
 
-    /// True if no energy arrives at all (fully blocked, no reflections).
-    pub fn is_disconnected(&self) -> bool {
-        self.paths.is_empty()
-    }
+/// Incoherent power sum of [`path_rx_dbm`] over `paths`, in path order,
+/// dBm (−300 when no path exists).
+pub fn multipath_rx_dbm(
+    env: &Environment,
+    paths: &[PropPath],
+    tx: LinkEnd,
+    rx: LinkEnd,
+    tx_power_offset_db: f64,
+    extra_power_db: f64,
+) -> f64 {
+    let lin: f64 = paths
+        .iter()
+        .map(|p| path_rx_dbm(env, p, tx, rx, tx_power_offset_db, extra_power_db))
+        .map(db_to_lin)
+        .sum();
+    lin_to_db(lin)
+}
 
-    /// SNR of the total received power against the environment noise floor.
-    pub fn snr_db(&self, noise_floor_dbm: f64) -> f64 {
-        self.total_dbm - noise_floor_dbm
+/// Received power, dBm, from a memoized pattern-weighted link gain
+/// (`gain_lin`, and `gain_db`, its dB form): conducted power and
+/// implementation loss, then [`path_rx_dbm`]'s offsets in its order; −300
+/// when no path carries energy.
+pub fn gain_rx_dbm(
+    env: &Environment,
+    gain_lin: f64,
+    gain_db: f64,
+    tx_power_offset_db: f64,
+    extra_power_db: f64,
+) -> f64 {
+    if gain_lin <= 0.0 {
+        return -300.0;
     }
+    gain_db + env.budget.tx_power_dbm - env.budget.implementation_loss_db
+        + tx_power_offset_db
+        + extra_power_db
+        - env.extra_loss_db
 }
 
 /// Compute the link state from `tx` (radiating `tx_pattern`) to `rx`
@@ -70,27 +122,18 @@ pub fn link_state(
     rx: &RadioNode,
     rx_pattern: &AntennaPattern,
 ) -> LinkState {
+    let (te, re) = (tx.with_pattern(tx_pattern), rx.with_pattern(rx_pattern));
     let geo_paths = env.paths(tx.position, rx.position);
+    let total_dbm = multipath_rx_dbm(env, &geo_paths, te, re, 0.0, 0.0);
     let mut paths: Vec<PathGain> = geo_paths
         .into_iter()
-        .map(|path| {
-            let tx_gain = tx.gain_toward(tx_pattern, path.departure);
-            let rx_gain = rx.gain_toward(rx_pattern, path.arrival);
-            let rx_dbm = env.budget.rx_power_dbm(tx_gain, rx_gain, &path) - env.extra_loss_db;
-            PathGain { path, rx_dbm }
+        .map(|path| PathGain {
+            rx_dbm: path_rx_dbm(env, &path, te, re, 0.0, 0.0),
+            path,
         })
         .collect();
     paths.sort_by(|a, b| b.rx_dbm.partial_cmp(&a.rx_dbm).expect("finite powers"));
-    let total_dbm = lin_to_db(paths.iter().map(|p| db_to_lin(p.rx_dbm)).sum());
     LinkState { paths, total_dbm }
-}
-
-/// SINR in dB: `serving` against the power sum of `interferers` plus the
-/// thermal noise floor.
-pub fn sinr_db(serving_dbm: f64, interferers_dbm: &[f64], noise_floor_dbm: f64) -> f64 {
-    let denom =
-        db_to_lin(noise_floor_dbm) + interferers_dbm.iter().map(|&p| db_to_lin(p)).sum::<f64>();
-    serving_dbm - lin_to_db(denom)
 }
 
 #[cfg(test)]
@@ -116,7 +159,6 @@ mod tests {
         assert_eq!(st.paths.len(), 1);
         // 7 dBm − FSPL(2 m ≈ 74.1 dB) − impl 9.5 dB ≈ −76.6 dBm.
         assert!((st.total_dbm + 76.6).abs() < 0.3, "{}", st.total_dbm);
-        assert!(!st.is_disconnected());
     }
 
     #[test]
@@ -163,8 +205,7 @@ mod tests {
         let tx = RadioNode::new(0, "tx", Point::new(0.0, 0.0), Angle::ZERO);
         let rx = RadioNode::new(1, "rx", Point::new(6.0, 0.0), Angle::ZERO);
         let st = link_state(&env, &tx, &iso(), &rx, &iso());
-        assert!(!st.is_disconnected(), "reflection must survive blockage");
-        let dom = st.dominant().expect("path");
+        let dom = st.paths.first().expect("reflection must survive blockage");
         assert_eq!(dom.path.order(), 1, "dominant path must be the wall bounce");
     }
 
@@ -185,7 +226,7 @@ mod tests {
         let tx = RadioNode::new(0, "tx", p(0.0, 0.0), Angle::ZERO);
         let rx = RadioNode::new(1, "rx", p(5.0, 0.0), Angle::ZERO);
         let st = link_state(&env, &tx, &iso(), &rx, &iso());
-        assert!(st.is_disconnected());
+        assert!(st.paths.is_empty());
         assert_eq!(st.total_dbm, -300.0);
     }
 
@@ -206,7 +247,7 @@ mod tests {
         let rx = RadioNode::new(1, "rx", Point::new(7.0, 2.0), Angle::ZERO);
         let st = link_state(&env, &tx, &iso(), &rx, &iso());
         assert!(st.paths.len() > 3);
-        let dom = st.dominant().expect("dominant").rx_dbm;
+        let dom = st.paths[0].rx_dbm;
         assert!(st.total_dbm > dom);
         assert!(
             st.total_dbm < dom + 10.0,
@@ -219,15 +260,28 @@ mod tests {
     }
 
     #[test]
-    fn sinr_reduces_with_interference() {
-        let noise = -71.5;
-        let clean = sinr_db(-50.0, &[], noise);
-        assert!((clean - 21.5).abs() < 1e-9);
-        // An interferer at the noise floor costs ≈ 3 dB.
-        let one = sinr_db(-50.0, &[noise], noise);
-        assert!((clean - one - 3.01).abs() < 0.01);
-        // A dominant interferer sets the SIR.
-        let strong = sinr_db(-50.0, &[-45.0], noise);
-        assert!((strong + 5.0).abs() < 0.1, "{strong}");
+    fn offsets_and_the_cached_tail_add_alike() {
+        let mut env = open_env();
+        env.extra_loss_db = 1.5;
+        let paths = env.paths(Point::new(0.0, 0.0), Point::new(4.0, 0.0));
+        let (pat, iso) = (horn_25dbi(), iso());
+        let tx = LinkEnd::new(Angle::ZERO, &pat);
+        let rx = LinkEnd::new(Angle::from_degrees(180.0), &iso);
+        let base = multipath_rx_dbm(&env, &paths, tx, rx, 0.0, 0.0);
+        let hot = multipath_rx_dbm(&env, &paths, tx, rx, 8.0, 6.0);
+        assert!((hot - base - 14.0).abs() < 1e-9, "{hot} vs {base}");
+        // One LoS path: its term is the whole sum.
+        assert_eq!(paths.len(), 1);
+        let term = path_rx_dbm(&env, &paths[0], tx, rx, 8.0, 6.0);
+        assert!((term - hot).abs() < 1e-9, "{term} vs {hot}");
+        // The cached-gain tail: the same budget from the pattern-weighted
+        // linear gain 10^((g_tx + g_rx − loss)/10).
+        let g = tx.gain_toward(paths[0].departure) + rx.gain_toward(paths[0].arrival)
+            - mmwave_phy::path_loss_db(env.budget.freq_hz, &paths[0]);
+        let cached = gain_rx_dbm(&env, db_to_lin(g), g, 8.0, 6.0);
+        assert!((cached - hot).abs() < 1e-9, "{cached} vs {hot}");
+        // No path: the quiet-channel floor, whatever the offsets.
+        assert_eq!(multipath_rx_dbm(&env, &[], tx, rx, 8.0, 6.0), -300.0);
+        assert_eq!(gain_rx_dbm(&env, 0.0, -300.0, 8.0, 6.0), -300.0);
     }
 }

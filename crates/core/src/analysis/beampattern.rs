@@ -6,9 +6,9 @@
 //! the transmit pattern. Here the replay pipeline computes exactly that,
 //! against whatever the DUT actually transmitted during the campaign.
 
-use crate::replay::{mean_data_power_dbm, TapConfig};
-use mmwave_capture::scan::ScanPoint;
-use mmwave_geom::{arc, Angle};
+use crate::replay::{incident_power_dbm, mean_data_power_dbm, TapConfig};
+use mmwave_capture::scan::{semicircle_scan, ScanPoint};
+use mmwave_geom::Angle;
 use mmwave_mac::Net;
 use mmwave_phy::{db_to_lin, lin_to_db};
 use mmwave_sim::time::SimTime;
@@ -27,21 +27,9 @@ pub fn measure_pattern(
     to: SimTime,
 ) -> Vec<ScanPoint> {
     let dut_pos = net.device(dut).node.position;
-    arc(n, Angle::from_degrees(-90.0), Angle::from_degrees(90.0))
-        .into_iter()
-        .map(|rel| {
-            let world = facing + rel;
-            let pos = dut_pos + world.unit() * radius;
-            // Horn points back at the DUT.
-            let look = Angle::from_radians((dut_pos - pos).angle());
-            let tap = TapConfig::horn(pos, look);
-            let power = mean_data_power_dbm(net, &tap, dut, from, to).unwrap_or(-120.0);
-            ScanPoint {
-                angle: rel,
-                power_dbm: power,
-            }
-        })
-        .collect()
+    semicircle_scan(n, dut_pos, facing, radius, |pos, look| {
+        mean_data_power_dbm(net, &TapConfig::horn(pos, look), dut, from, to).unwrap_or(-120.0)
+    })
 }
 
 /// Measure one sub-element of the discovery sweep: average the incident
@@ -69,28 +57,17 @@ pub fn measure_discovery_pattern(
                 && e.pattern == mmwave_mac::PatKey::Qo(sub_idx)
         })
         .collect();
-    arc(n, Angle::from_degrees(-90.0), Angle::from_degrees(90.0))
-        .into_iter()
-        .map(|rel| {
-            let world = facing + rel;
-            let pos = dut_pos + world.unit() * radius;
-            let look = Angle::from_radians((dut_pos - pos).angle());
-            let tap = TapConfig::horn(pos, look);
-            let power = if entries.is_empty() {
-                -120.0
-            } else {
-                let lin: f64 = entries
-                    .iter()
-                    .map(|e| db_to_lin(crate::replay::incident_power_dbm(net, &tap, e)))
-                    .sum();
-                lin_to_db(lin / entries.len() as f64)
-            };
-            ScanPoint {
-                angle: rel,
-                power_dbm: power,
-            }
-        })
-        .collect()
+    semicircle_scan(n, dut_pos, facing, radius, |pos, look| {
+        if entries.is_empty() {
+            return -120.0;
+        }
+        let tap = TapConfig::horn(pos, look);
+        let lin: f64 = entries
+            .iter()
+            .map(|e| db_to_lin(incident_power_dbm(net, &tap, e)))
+            .sum();
+        lin_to_db(lin / entries.len() as f64)
+    })
 }
 
 /// Peak-normalize scan points to dB-relative-to-peak form (figure style).

@@ -7,6 +7,7 @@
 //! airtime, exactly as the paper's dwell-and-average procedure does.
 
 use mmwave_capture::scan::{angular_profile, AngularProfile};
+use mmwave_channel::{path_rx_dbm, LinkEnd};
 use mmwave_geom::{Angle, Point};
 use mmwave_mac::Net;
 use mmwave_phy::{db_to_lin, lin_to_db};
@@ -34,32 +35,31 @@ pub fn measure_profile(
     let mut extra: HashMap<(usize, mmwave_mac::PatKey), f64> = HashMap::new();
     for e in net.txlog().in_window(from, to) {
         *airtime.entry((e.src, e.pattern)).or_insert(0.0) += (e.end - e.start).as_secs_f64();
-        // Control-class frames carry the boost; a (src, pattern) combo is
+        // Control-PHY frames carry the boost; a (src, pattern) combo is
         // only ever used by one class in practice, so last-write wins.
-        let boost = match e.class {
-            mmwave_mac::FrameClass::Beacon
-            | mmwave_mac::FrameClass::DiscoverySub
-            | mmwave_mac::FrameClass::WihdBeacon
-            | mmwave_mac::FrameClass::Training => net.config().control_power_offset_db,
-            _ => 0.0,
-        };
-        extra.insert((e.src, e.pattern), boost);
+        extra.insert((e.src, e.pattern), net.config().extra_power_db(e.class));
     }
     let total_time: f64 = airtime.values().sum();
     // Per combination: (arrival azimuth, linear power *without* the horn
-    // gain) for every path, scaled by the combo's airtime share.
+    // gain, i.e. at an isotropic 0 dBi receiver) for every path, scaled by
+    // the combo's airtime share.
     let mut components: Vec<(Angle, f64)> = Vec::new();
     let horn = mmwave_phy::horn_25dbi();
+    let unit = mmwave_phy::AntennaPattern::isotropic(0.0);
+    let at_probe = LinkEnd::new(Angle::ZERO, &unit);
     for (&(src, pat), &t) in &airtime {
         let dev = net.device(src);
         let paths = net.env.paths(dev.node.position, probe);
-        let tx_pattern = dev.pattern(pat);
+        let tx = dev.node.with_pattern(dev.pattern(pat));
         for path in &paths {
-            let ga = dev.node.gain_toward(tx_pattern, path.departure);
-            let dbm = net.env.budget.rx_power_dbm(ga, 0.0, path)
-                + dev.tx_power_offset_db
-                + extra[&(src, pat)]
-                - net.env.extra_loss_db;
+            let dbm = path_rx_dbm(
+                &net.env,
+                path,
+                tx,
+                at_probe,
+                dev.tx_power_offset_db,
+                extra[&(src, pat)],
+            );
             components.push((path.arrival, db_to_lin(dbm) * t / total_time.max(1e-12)));
         }
     }

@@ -8,8 +8,8 @@
 //! configurable reflection order. A geometry-only MAC corresponds to
 //! order 0 (line of sight); the paper's recommendation is order 2.
 
+use mmwave_channel::multipath_rx_dbm;
 use mmwave_mac::{Net, PatKey};
-use mmwave_phy::{db_to_lin, lin_to_db};
 
 /// A directed link (transmitter index, receiver index).
 pub type Link = (usize, usize);
@@ -24,23 +24,21 @@ pub fn predicted_interference_dbm(net: &Net, tx: usize, victim_rx: usize, max_or
         Some(w) => PatKey::Dir(w.tx_sector),
         None => PatKey::Dir(tx_dev.wihd().map(|w| w.tx_sector).unwrap_or(0)),
     };
-    let tx_pattern = tx_dev.pattern(tx_key);
-    let rx_pattern = rx_dev.pattern(rx_dev.listen_key());
-    let lin: f64 = net
-        .env
-        .paths(tx_dev.node.position, rx_dev.node.position)
-        .iter()
-        .filter(|p| p.order() <= max_order)
-        .map(|p| {
-            let ga = tx_dev.node.gain_toward(tx_pattern, p.departure);
-            let gb = rx_dev.node.gain_toward(rx_pattern, p.arrival);
-            db_to_lin(
-                net.env.budget.rx_power_dbm(ga, gb, p) + tx_dev.tx_power_offset_db
-                    - net.env.extra_loss_db,
-            )
-        })
-        .sum();
-    lin_to_db(lin)
+    let tx_end = tx_dev.node.with_pattern(tx_dev.pattern(tx_key));
+    let rx_end = rx_dev
+        .node
+        .with_pattern(rx_dev.pattern(rx_dev.listen_key()));
+    let mut paths = net.env.paths(tx_dev.node.position, rx_dev.node.position);
+    paths.retain(|p| p.order() <= max_order);
+    // Data frames: no control-PHY boost.
+    multipath_rx_dbm(
+        &net.env,
+        &paths,
+        tx_end,
+        rx_end,
+        tx_dev.tx_power_offset_db,
+        0.0,
+    )
 }
 
 /// The conflict matrix: `conflicts[i][j]` is true when link `i`'s

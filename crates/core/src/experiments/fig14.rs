@@ -10,7 +10,7 @@ use super::RunReport;
 use crate::report;
 use crate::scenarios::point_to_point;
 use mmwave_capture::VubiqReceiver;
-use mmwave_channel::RadioNode;
+use mmwave_channel::{multipath_rx_dbm, LinkEnd};
 use mmwave_geom::{Angle, Point};
 use mmwave_mac::{NetConfig, PatKey};
 use mmwave_sim::ctx::SimCtx;
@@ -33,8 +33,8 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
 
     // The Vubiq behind the dock, pointing at the laptop's lid (§3.2).
     let tap_pos = Point::new(-0.6, 0.25);
-    let probe = RadioNode::new(usize::MAX - 9, "vubiq", tap_pos, Angle::ZERO);
     let rx = VubiqReceiver::with_waveguide();
+    let probe = LinkEnd::new(Angle::ZERO, &rx.antenna);
 
     let mut samples: Vec<(f64, f64, f64, u64)> = Vec::new(); // (min, amp V, rate Gb/s, retrains)
     let step_s = 10u64;
@@ -42,19 +42,18 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
         p.net.run_until(SimTime::from_secs(k * step_s));
         let laptop = p.net.device(p.laptop);
         let w = laptop.wigig().expect("wigig");
-        // Amplitude of a laptop data/beacon frame at the Vubiq: its trained
+        // Amplitude of a laptop data frame at the Vubiq: its trained
         // sector towards the tap.
         let pattern = laptop.pattern(PatKey::Dir(w.tx_sector));
         let paths = p.net.env.paths(laptop.node.position, tap_pos);
-        let lin: f64 = paths
-            .iter()
-            .map(|path| {
-                let ga = laptop.node.gain_toward(pattern, path.departure);
-                let gb = probe.gain_toward(&rx.antenna, path.arrival);
-                mmwave_phy::db_to_lin(p.net.env.budget.rx_power_dbm(ga, gb, path))
-            })
-            .sum();
-        let amp = rx.power_to_volts(mmwave_phy::lin_to_db(lin));
+        let amp = rx.power_to_volts(multipath_rx_dbm(
+            &p.net.env,
+            &paths,
+            laptop.node.with_pattern(pattern),
+            probe,
+            laptop.tx_power_offset_db,
+            0.0,
+        ));
         let dock_w = p.net.device(p.dock).wigig().expect("wigig");
         let rate = dock_w.adapter.current().rate_gbps();
         let retrains = p.net.device(p.dock).stats.retrains;

@@ -9,8 +9,9 @@
 
 use mmwave_capture::trace::SegmentTag;
 use mmwave_capture::{SignalTrace, VubiqReceiver};
-use mmwave_geom::{Angle, Point};
-use mmwave_mac::Net;
+use mmwave_channel::{multipath_rx_dbm, LinkEnd};
+use mmwave_geom::{Angle, Point, PropPath};
+use mmwave_mac::{Net, TxLogEntry};
 use mmwave_phy::{db_to_lin, lin_to_db};
 use mmwave_sim::time::SimTime;
 use std::collections::HashMap;
@@ -49,16 +50,17 @@ impl TapConfig {
 /// Replay the net's transmission log over `[from, to)` into a trace at
 /// the tap. Transmissions below the receiver noise floor are still
 /// recorded (at their tiny amplitude); the detector decides visibility.
+///
+/// Each frame is replayed from the source pose logged at transmission
+/// time, but its paths are traced in the room as it stands at replay time:
+/// wall and obstacle moves inside the window are not replayed.
 pub fn replay_trace(net: &Net, tap: &TapConfig, from: SimTime, to: SimTime) -> SignalTrace {
     let mut trace = tap.receiver.begin_capture(from, to);
-    let probe =
-        mmwave_channel::RadioNode::new(usize::MAX - 7, "vubiq", tap.position, tap.orientation);
     // Cache paths per (source, logged position): scenario mobility can move
     // a device mid-run, so a replay must trace from where the source stood
     // at transmission time — the log records that pose per entry.
-    let mut paths: HashMap<(usize, u64, u64), Vec<mmwave_geom::PropPath>> = HashMap::new();
+    let mut paths: HashMap<(usize, u64, u64), Vec<PropPath>> = HashMap::new();
     for e in net.txlog().in_window(from, to) {
-        let dev = net.device(e.src);
         let p = paths
             .entry((
                 e.src,
@@ -66,28 +68,11 @@ pub fn replay_trace(net: &Net, tap: &TapConfig, from: SimTime, to: SimTime) -> S
                 e.src_position.y.to_bits(),
             ))
             .or_insert_with(|| net.env.paths(e.src_position, tap.position));
-        let mut src_node = dev.node.clone();
-        src_node.position = e.src_position;
-        src_node.orientation = e.src_orientation;
-        let tx_pattern = dev.pattern(e.pattern);
-        let lin: f64 = p
-            .iter()
-            .map(|path| {
-                let ga = src_node.gain_toward(tx_pattern, path.departure);
-                let gb = probe.gain_toward(&tap.receiver.antenna, path.arrival);
-                db_to_lin(
-                    net.env.budget.rx_power_dbm(ga, gb, path) + dev.tx_power_offset_db
-                        - net.env.extra_loss_db
-                        + control_boost(net, e),
-                )
-            })
-            .sum();
-        let incident_dbm = lin_to_db(lin);
         tap.receiver.record(
             &mut trace,
             e.start,
             e.end,
-            incident_dbm,
+            frame_power_dbm(net, tap, e, p),
             SegmentTag {
                 source: e.src,
                 class: e.class.as_u8(),
@@ -97,39 +82,24 @@ pub fn replay_trace(net: &Net, tap: &TapConfig, from: SimTime, to: SimTime) -> S
     trace
 }
 
-/// Control/beacon/discovery frames ride with extra power (§3.2); the replay
-/// must apply the same boost the medium did.
-fn control_boost(net: &Net, e: &mmwave_mac::TxLogEntry) -> f64 {
-    use mmwave_mac::FrameClass::*;
-    match e.class {
-        Beacon | DiscoverySub | WihdBeacon | Training => net.config().control_power_offset_db,
-        _ => 0.0,
-    }
+/// Incident power (dBm) at the tap of logged transmission `e` over
+/// `paths`: its source's logged pose and pattern, and its class's power
+/// boost (§3.2), exactly as the medium sent it.
+fn frame_power_dbm(net: &Net, tap: &TapConfig, e: &TxLogEntry, paths: &[PropPath]) -> f64 {
+    let dev = net.device(e.src);
+    multipath_rx_dbm(
+        &net.env,
+        paths,
+        LinkEnd::new(e.src_orientation, dev.pattern(e.pattern)),
+        LinkEnd::new(tap.orientation, &tap.receiver.antenna),
+        dev.tx_power_offset_db,
+        net.config().extra_power_db(e.class),
+    )
 }
 
 /// Incident power (dBm) of one logged transmission at a tap.
-pub fn incident_power_dbm(net: &Net, tap: &TapConfig, e: &mmwave_mac::TxLogEntry) -> f64 {
-    let dev = net.device(e.src);
-    let probe =
-        mmwave_channel::RadioNode::new(usize::MAX - 7, "vubiq", tap.position, tap.orientation);
-    let paths = net.env.paths(e.src_position, tap.position);
-    let mut src_node = dev.node.clone();
-    src_node.position = e.src_position;
-    src_node.orientation = e.src_orientation;
-    let tx_pattern = dev.pattern(e.pattern);
-    let lin: f64 = paths
-        .iter()
-        .map(|path| {
-            let ga = src_node.gain_toward(tx_pattern, path.departure);
-            let gb = probe.gain_toward(&tap.receiver.antenna, path.arrival);
-            db_to_lin(
-                net.env.budget.rx_power_dbm(ga, gb, path) + dev.tx_power_offset_db
-                    - net.env.extra_loss_db
-                    + control_boost(net, e),
-            )
-        })
-        .sum();
-    lin_to_db(lin)
+pub fn incident_power_dbm(net: &Net, tap: &TapConfig, e: &TxLogEntry) -> f64 {
+    frame_power_dbm(net, tap, e, &net.env.paths(e.src_position, tap.position))
 }
 
 /// Average incident power (dBm) of logged *data-class* frames at the tap —

@@ -43,6 +43,15 @@ pub enum FrameClass {
 }
 
 impl FrameClass {
+    /// The control-PHY classes, sent "with higher power" (§3.2). RTS/CTS
+    /// (`Control`) and ACKs go out at MCS 1 and data power.
+    pub fn uses_control_phy(self) -> bool {
+        matches!(
+            self,
+            Self::Beacon | Self::DiscoverySub | Self::Training | Self::WihdBeacon
+        )
+    }
+
     /// Stable numeric tag for capture-trace ground truth.
     pub fn as_u8(self) -> u8 {
         match self {

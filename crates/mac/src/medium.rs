@@ -11,7 +11,7 @@
 use crate::device::{Device, PatKey};
 use crate::frame::Frame;
 use mmwave_channel::spatial::{self, PruneMode, SpatialConfig, SpatialIndex};
-use mmwave_channel::{link_state, Environment, LinkGainCache};
+use mmwave_channel::{gain_rx_dbm, link_state, Environment, LinkGainCache};
 use mmwave_geom::Point;
 use mmwave_phy::{db_to_lin, lin_to_db};
 use mmwave_sim::ctx::SimCtx;
@@ -184,9 +184,9 @@ impl Medium {
     ///
     /// One memoized table lookup plus additive dB offsets: the cache keeps
     /// `Σ_paths 10^(−loss/10)·g_src·g_dst` per (device, pattern) pair, and
-    /// everything direction- and path-independent (conducted power,
-    /// implementation loss, per-device offset, atmospheric loss) is applied
-    /// here after the single `lin_to_db`.
+    /// [`gain_rx_dbm`] adds everything direction- and path-independent
+    /// (conducted power, implementation loss, per-device offset, the
+    /// frame's boost, atmospheric loss) after the single `lin_to_db`.
     pub fn rx_power_dbm(
         &mut self,
         env: &Environment,
@@ -240,13 +240,7 @@ impl Medium {
             dd.pat_id(dst_key),
             dd.pattern(dst_key),
         );
-        if lin <= 0.0 {
-            return -300.0;
-        }
-        db + env.budget.tx_power_dbm - env.budget.implementation_loss_db
-            + sd.tx_power_offset_db
-            + extra_power_db
-            - env.extra_loss_db
+        gain_rx_dbm(env, lin, db, sd.tx_power_offset_db, extra_power_db)
     }
 
     /// Put a frame on the air. `link_offsets[d]` is the fading offset (dB)

@@ -13,7 +13,7 @@ use crate::params::MacParams;
 use crate::scenario::{FaultKind, Scenario, ScenarioEvent, WorldMutation};
 use crate::txlog::{TxLog, TxLogEntry};
 use crate::{wigig, wihd};
-use mmwave_channel::{Ar1Fading, Environment, PerturbationProcess, RadioNode};
+use mmwave_channel::{multipath_rx_dbm, Ar1Fading, Environment, PerturbationProcess, RadioNode};
 use mmwave_geom::{Angle, Point, PropPath, Segment};
 use mmwave_phy::{AntennaPattern, McsTable};
 use mmwave_sim::ctx::SimCtx;
@@ -222,6 +222,20 @@ pub struct NetConfig {
     /// often break before the transmitter switches to rates below 1 gbps"
     /// and the abrupt per-run throughput fall of Fig. 13.
     pub min_link_snr_db: f64,
+}
+
+impl NetConfig {
+    /// Transmit power of a `class` frame over its device's data power, dB:
+    /// the control-PHY classes carry `control_power_offset_db`, the rest
+    /// nothing. [`Net::start_tx`] applies it to every frame it sends, and
+    /// analyses that recompute a logged frame's power read it here.
+    pub fn extra_power_db(&self, class: FrameClass) -> f64 {
+        if class.uses_control_phy() {
+            self.control_power_offset_db
+        } else {
+            0.0
+        }
+    }
 }
 
 impl Default for NetConfig {
@@ -813,13 +827,9 @@ impl Net {
             .level_at(now)
     }
 
-    /// Put a frame on the air now; returns `(tx id, end time)`.
-    pub(crate) fn start_tx(
-        &mut self,
-        frame: Frame,
-        pattern: PatKey,
-        extra_power_db: f64,
-    ) -> (u64, SimTime) {
+    /// Put a frame on the air now, with its class's power boost
+    /// ([`NetConfig::extra_power_db`]); returns `(tx id, end time)`.
+    pub(crate) fn start_tx(&mut self, frame: Frame, pattern: PatKey) -> (u64, SimTime) {
         let src = frame.src;
         let sub_dur = match &self.devices[src].kind {
             DevKind::Wigig(w) => w.cfg.discovery_sub_duration,
@@ -840,6 +850,7 @@ impl Net {
         }
 
         let class = frame.kind.class();
+        let extra_power_db = self.cfg.extra_power_db(class);
         let dst = frame.dst;
         let seq = frame.seq;
         let mcs = match &frame.kind {
@@ -878,16 +889,9 @@ impl Net {
         (tx_id, end)
     }
 
-    /// Put a payload-free frame on the air now. Control-PHY frames carry
-    /// the control power boost (§3.2); CTS and ACK go out at data power.
+    /// Put a payload-free frame on the air now.
     pub(crate) fn start_deferred_tx(&mut self, f: DeferredFrame) {
-        let extra_power_db = match f.kind {
-            DeferredKind::DiscoverySub | DeferredKind::Training | DeferredKind::Beacon => {
-                self.cfg.control_power_offset_db
-            }
-            DeferredKind::Cts | DeferredKind::Ack => 0.0,
-        };
-        self.start_tx(f.frame(), f.pattern(), extra_power_db);
+        self.start_tx(f.frame(), f.pattern());
     }
 
     /// Allocate the next frame sequence number.
@@ -908,26 +912,22 @@ impl Net {
             return;
         }
         let dev = &self.devices[src];
-        let tx_pattern = dev.pattern(pattern);
+        let tx = dev.node.with_pattern(dev.pattern(pattern));
         for m in &mut self.monitors {
             let paths = m
                 .paths
                 .entry(src)
                 .or_insert_with(|| self.env.paths(dev.node.position, m.node.position));
-            let lin: f64 = paths
-                .iter()
-                .map(|p| {
-                    let ga = dev.node.gain_toward(tx_pattern, p.departure);
-                    let gb = m.node.gain_toward(&m.pattern, p.arrival);
-                    mmwave_phy::db_to_lin(
-                        self.env.budget.rx_power_dbm(ga, gb, p)
-                            + dev.tx_power_offset_db
-                            + extra_power_db
-                            - self.env.extra_loss_db,
-                    )
-                })
-                .sum();
-            if mmwave_phy::lin_to_db(lin) > m.threshold_dbm {
+            let rx = m.node.with_pattern(&m.pattern);
+            let dbm = multipath_rx_dbm(
+                &self.env,
+                paths,
+                tx,
+                rx,
+                dev.tx_power_offset_db,
+                extra_power_db,
+            );
+            if dbm > m.threshold_dbm {
                 m.busy.add(start, end);
             }
         }
@@ -1068,6 +1068,13 @@ mod tests {
         use DeferredKind as K;
         use FrameClass as C;
         use PatKey::{Dir, Qo};
+        /// How a row goes on the air: as a deferred frame through the
+        /// queue, or straight through `start_tx`.
+        enum Send {
+            Deferred(DeferredKind),
+            Now(FrameKind),
+        }
+        use Send::{Deferred, Now};
         let ctx = SimCtx::new();
         let cfg = NetConfig {
             enable_fading: false,
@@ -1099,18 +1106,39 @@ mod tests {
             9,
         ));
         let sink = add(Device::wihd_sink(&ctx, "k", Point::new(3.0, 2.0), west, 22));
-        // The six call sites: WiGig discovery sub-element, training frame,
-        // the station's beacon reply, CTS, ACK and WiHD discovery sub-element.
+        // The six deferred call sites: WiGig discovery sub-element, training
+        // frame, the station's beacon reply, CTS, ACK and WiHD discovery
+        // sub-element. Then the classes no deferred frame has, sent through
+        // `start_tx` as their call sites do: a data PPDU, a WiHD sink beacon
+        // and a WiHD data frame.
+        let data = FrameKind::Data {
+            mpdus: vec![Mpdu {
+                bytes: 1500,
+                tag: 1,
+            }],
+            mcs: 6,
+            retry: 0,
+        };
         let sent = [
-            (dock, None, K::DiscoverySub, Qo(5)),
-            (laptop, Some(dock), K::Training, Qo(0)),
-            (laptop, Some(dock), K::Beacon, Qo(7)),
-            (laptop, Some(dock), K::Cts, Dir(11)),
-            (dock, Some(laptop), K::Ack, Dir(20)),
-            (source, None, K::DiscoverySub, Qo(3)),
+            (dock, None, Deferred(K::DiscoverySub), Qo(5)),
+            (laptop, Some(dock), Deferred(K::Training), Qo(0)),
+            (laptop, Some(dock), Deferred(K::Beacon), Qo(7)),
+            (laptop, Some(dock), Deferred(K::Cts), Dir(11)),
+            (dock, Some(laptop), Deferred(K::Ack), Dir(20)),
+            (source, None, Deferred(K::DiscoverySub), Qo(3)),
+            (dock, Some(laptop), Now(data), Dir(16)),
+            (sink, Some(source), Now(FrameKind::WihdBeacon), Dir(2)),
+            (
+                source,
+                Some(sink),
+                Now(FrameKind::WihdData { bytes: 20_000 }),
+                Dir(6),
+            ),
         ];
         // What each must put on the air: the logged class, and the power
-        // boost its call site gave it, measured at a probe device.
+        // boost of that class, measured at a probe device: exactly the
+        // control boost for the four control-PHY classes, nothing for the
+        // rest.
         let expected = [
             (C::DiscoverySub, laptop, boost),
             (C::Training, dock, boost),
@@ -1118,16 +1146,40 @@ mod tests {
             (C::Control, dock, 0.0),
             (C::Ack, laptop, 0.0),
             (C::DiscoverySub, sink, boost),
+            (C::Data, laptop, 0.0),
+            (C::WihdBeacon, source, boost),
+            (C::WihdData, sink, 0.0),
         ];
-        for (i, (&(src, dst, kind, pattern), &(class, probe, extra))) in
-            sent.iter().zip(&expected).enumerate()
+        let classes: std::collections::HashSet<FrameClass> =
+            expected.iter().map(|&(class, ..)| class).collect();
+        assert_eq!(classes.len(), 8, "every frame class has a row");
+        let n_sent = sent.len();
+        for (i, ((src, dst, send, pattern), &(class, probe, extra))) in
+            sent.into_iter().zip(&expected).enumerate()
         {
             // One frame per millisecond, so each is alone on the air.
             let t = SimTime::from_millis(i as u64 + 1);
             let seq = 1000 + i as u64;
-            let frame = DeferredFrame::new(src, dst, kind, seq, pattern);
-            net.queue.schedule(t, NetEv::SendFrame(frame));
-            net.run_until(t);
+            match send {
+                Deferred(kind) => {
+                    let frame = DeferredFrame::new(src, dst, kind, seq, pattern);
+                    net.queue.schedule(t, NetEv::SendFrame(frame));
+                    net.run_until(t);
+                }
+                Now(kind) => {
+                    net.run_until(t);
+                    net.start_tx(
+                        Frame {
+                            src,
+                            dst,
+                            kind,
+                            seq,
+                        },
+                        pattern,
+                    );
+                }
+            }
+            assert_eq!(net.config().extra_power_db(class), extra, "frame {i}");
             let e = *net.txlog().entries().last().expect("frame logged");
             assert_eq!(
                 (e.start, e.src, e.dst, e.class, e.seq, e.pattern),
@@ -1141,7 +1193,15 @@ mod tests {
                 "frame {i}: {got} dBm, want {want}"
             );
         }
-        assert_eq!(net.txlog().len(), sent.len());
+        // Each row went on the air once (the data PPDU also drew its ACK).
+        let rows: Vec<u64> = net
+            .txlog()
+            .entries()
+            .iter()
+            .map(|e| e.seq)
+            .filter(|&s| s >= 1000)
+            .collect();
+        assert_eq!(rows, (1000..1000 + n_sent as u64).collect::<Vec<_>>());
         // A discovery sub-element's index is the quasi-omni entry it radiates.
         let sub = DeferredFrame::new(dock, None, K::DiscoverySub, 1, Qo(5));
         assert!(matches!(

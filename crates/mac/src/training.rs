@@ -7,7 +7,7 @@
 //! would only add noise-free repetitions of the same arithmetic).
 
 use crate::device::Device;
-use mmwave_channel::{Environment, LinkGainCache};
+use mmwave_channel::{gain_rx_dbm, Environment, LinkGainCache};
 use mmwave_phy::{lin_to_db, Codebook};
 
 /// Result of training a device pair.
@@ -53,18 +53,11 @@ pub fn best_pair_with(
         b_idx,
         codebook(b),
     );
-    let rx_dbm = if lin <= 0.0 {
-        // No propagation path at any sector pair: the quiet-channel floor.
-        -300.0
-    } else {
-        lin_to_db(lin) + env.budget.tx_power_dbm - env.budget.implementation_loss_db
-            + a.tx_power_offset_db
-            - env.extra_loss_db
-    };
     TrainingResult {
         a_sector,
         b_sector,
-        rx_dbm,
+        // The data link's power: no control-PHY boost.
+        rx_dbm: gain_rx_dbm(env, lin, lin_to_db(lin), a.tx_power_offset_db, 0.0),
     }
 }
 
@@ -134,15 +127,15 @@ mod tests {
         let paths = env.paths(a.node.position, b.node.position);
         let cb_a = &a.wigig().expect("wigig").codebook;
         let cb_b = &b.wigig().expect("wigig").codebook;
-        let default_dbm: f64 = paths
-            .iter()
-            .map(|p| {
-                let ga = a.node.gain_toward(&cb_a.sector(0).pattern, p.departure);
-                let gb = b.node.gain_toward(&cb_b.sector(0).pattern, p.arrival);
-                mmwave_phy::db_to_lin(env.budget.rx_power_dbm(ga, gb, p))
-            })
-            .sum();
-        assert!(r.rx_dbm > mmwave_phy::lin_to_db(default_dbm) + 5.0);
+        let default_dbm = mmwave_channel::multipath_rx_dbm(
+            &env,
+            &paths,
+            a.node.with_pattern(&cb_a.sector(0).pattern),
+            b.node.with_pattern(&cb_b.sector(0).pattern),
+            a.tx_power_offset_db,
+            0.0,
+        );
+        assert!(r.rx_dbm > default_dbm + 5.0);
     }
 
     #[test]

@@ -333,9 +333,8 @@ pub(crate) fn on_beacon_tick(net: &mut Net, dev: usize) {
         kind: FrameKind::Beacon,
         seq,
     };
-    let extra = net.cfg.control_power_offset_db;
     net.devices[dev].stats.beacons_tx += 1;
-    net.start_tx(frame, PatKey::Qo(beacon_idx), extra);
+    net.start_tx(frame, PatKey::Qo(beacon_idx));
     let at = net.now() + interval;
     net.queue.schedule(at, NetEv::BeaconTick { dev });
 }
@@ -560,7 +559,7 @@ pub(crate) fn on_txop_attempt(net: &mut Net, dev: usize) {
         kind: FrameKind::Rts,
         seq,
     };
-    let (_, end) = net.start_tx(frame, PatKey::Dir(sector), 0.0);
+    let (_, end) = net.start_tx(frame, PatKey::Dir(sector));
     let sifs = net.cfg.params.sifs;
     let cts_dur = airtime(
         &net.cfg.params,
@@ -648,17 +647,20 @@ pub(crate) fn send_next_data(net: &mut Net, dev: usize) {
         // the aggregation limit, into a buffer from the net's pool.
         let max_aggregation = w.cfg.max_aggregation;
         let mut mpdus = net.mpdu_pool.take(max_aggregation);
-        // Running bit total keeps the duration check O(1) per candidate;
-        // it matches `data_airtime`'s sum over the same MPDUs exactly.
+        // The cap as a payload-bit budget: `overhead + ⌈b·10⁹/r⌉ ns > cap`
+        // exactly when `b > ⌊(cap − overhead)·r/10⁹⌋`, so the running bit
+        // total (`data_airtime`'s sum) decides with no division per MPDU.
+        let budget_bits = w
+            .cfg
+            .max_ppdu_duration
+            .saturating_sub(params.data_phy_overhead)
+            .bits_at(rate);
         let mut bits: u64 = 0;
         while mpdus.len() < max_aggregation {
             let Some(&next) = w.queue.front() else { break };
             bits += (next.bytes + params.mpdu_overhead_bytes) as u64 * 8;
             mpdus.push(next);
-            if params.data_phy_overhead + mmwave_sim::time::SimDuration::for_bits(bits, rate)
-                > w.cfg.max_ppdu_duration
-                && mpdus.len() > 1
-            {
+            if bits > budget_bits && mpdus.len() > 1 {
                 // Over the duration cap and not the sole MPDU: the next
                 // segment starts the following PPDU instead.
                 mpdus.pop();
@@ -698,7 +700,7 @@ pub(crate) fn send_next_data(net: &mut Net, dev: usize) {
         },
         seq,
     };
-    let (_, end) = net.start_tx(frame, PatKey::Dir(sector), 0.0);
+    let (_, end) = net.start_tx(frame, PatKey::Dir(sector));
     let timeout_at = end + params.ack_timeout;
     let id = net.queue.schedule(timeout_at, NetEv::AckTimeout { dev });
     if let Some(w) = net.devices[dev].wigig_mut() {

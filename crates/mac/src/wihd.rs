@@ -141,9 +141,8 @@ pub(crate) fn on_beacon_tick(net: &mut Net, dev: usize) {
             kind: FrameKind::WihdBeacon,
             seq,
         };
-        let extra = net.cfg.control_power_offset_db;
         net.devices[dev].stats.beacons_tx += 1;
-        net.start_tx(frame, PatKey::Dir(sector), extra);
+        net.start_tx(frame, PatKey::Dir(sector));
     }
     net.queue
         .schedule(now + interval, NetEv::WihdBeaconTick { dev });
@@ -230,7 +229,7 @@ pub(crate) fn send_next(net: &mut Net, dev: usize) {
         seq,
     };
     net.devices[dev].stats.data_tx += 1;
-    net.start_tx(frame, PatKey::Dir(sector), 0.0);
+    net.start_tx(frame, PatKey::Dir(sector));
 }
 
 /// WiHD frame completions.

@@ -326,6 +326,42 @@ mod tests {
     }
 
     #[test]
+    fn bit_budget_decides_like_the_airtime() {
+        // `⌈b·10⁹/r⌉ > D ⇔ b > ⌊D·r/10⁹⌋`: the MAC's aggregation loop
+        // compares its running bit total with `D.bits_at(r)` instead of
+        // the airtime with `D`. Every rate of the IEEE 802.11ad table in
+        // `mmwave_phy::mcs`; budgets of 0, the 1.9 µs data-PHY overhead,
+        // 25 µs and the 160 µs PPDU cap; every `b` up to 200,000 bits.
+        const RATES: [u64; 13] = [
+            27_500_000,
+            385_000_000,
+            770_000_000,
+            962_500_000,
+            1_155_000_000,
+            1_251_250_000,
+            1_540_000_000,
+            1_925_000_000,
+            2_310_000_000,
+            2_502_500_000,
+            3_080_000_000,
+            3_850_000_000,
+            4_620_000_000,
+        ];
+        for rate in RATES {
+            for d in [0, 1_900, 25_000, 160_000].map(SimDuration::from_nanos) {
+                let budget = d.bits_at(rate);
+                for b in 0..=200_000u64 {
+                    assert_eq!(
+                        SimDuration::for_bits(b, rate) > d,
+                        b > budget,
+                        "{b} bits at {rate} b/s against {d}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn display_picks_sensible_unit() {
         assert_eq!(SimDuration::from_nanos(5).to_string(), "5ns");
         assert_eq!(SimDuration::from_micros(3).to_string(), "3.000us");

@@ -25,6 +25,14 @@ cargo bench --no-run -q
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> matrix digest (every experiment, quick seeds 1..=3)"
+# golden/matrix_digest.txt pins each run's status, science bytes (status,
+# violations, output) and engine counters. Tier-1 checks the seed-1 lines;
+# this release step checks all 69 runs and names every run and column that
+# moved. Regenerate only on purpose:
+#   cargo test --release -p mmwave-campaign --test matrix_digest -- --ignored regenerate
+cargo test -q --release -p mmwave-campaign --test matrix_digest
+
 echo "==> event-queue equivalence suite"
 # The event queue (binary heap, lazy tombstones, peek memo) must be
 # indistinguishable from the test-local reference model: identical pop
@@ -113,6 +121,38 @@ violations=$(find crates/*/src -name '*.rs' -not -path '*/src/bin/*' \
         }')
 if [[ -n "$violations" ]]; then
     echo "SimCtx created outside the task runner (take the caller's &SimCtx instead):"
+    echo "$violations"
+    exit 1
+fi
+
+echo "==> forbidden-pattern gate (link budget)"
+# Received power has one home: mmwave_channel::propagate's per-path term,
+# multipath sum and cached-gain tail. Library code reads the budget's
+# per-path formula, conducted power or implementation loss only there, in
+# the spatial index's coupling bound (channel/src/spatial.rs) and in the
+# budget's own module (phy/src/propagation.rs). Only the FrameClass rule
+# in mac/src/net.rs (NetConfig::extra_power_db) reads the control-PHY
+# boost. Code after a file's first #[cfg(test)] and comments are exempt.
+violations=$(find crates/*/src -name '*.rs' | sort \
+    | xargs awk '
+        FNR == 1 {
+            live = 1
+            budget_home = FILENAME ~ /^crates\/(channel\/src\/(propagate|spatial)|phy\/src\/propagation)\.rs$/
+            boost_home = FILENAME == "crates/mac/src/net.rs"
+        }
+        /#\[cfg\(test\)\]/ { live = 0 }
+        {
+            code = $0
+            sub(/\/\/.*/, "", code)
+            if (live && !budget_home \
+                && code ~ /budget\.(rx_power_dbm\(|tx_power_dbm|implementation_loss_db)/)
+                print FILENAME ":" FNR ": " $0
+            if (live && !boost_home && code ~ /control_power_offset_db/)
+                print FILENAME ":" FNR ": " $0
+        }')
+if [[ -n "$violations" ]]; then
+    echo "link-budget arithmetic or the control-PHY boost outside its home"
+    echo "(use mmwave_channel::propagate, or NetConfig::extra_power_db):"
     echo "$violations"
     exit 1
 fi

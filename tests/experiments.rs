@@ -1,7 +1,12 @@
 //! Integration: every registered experiment reproduces the paper's shapes
 //! in quick mode at seed 1, run the way `campaign` runs it — one matrix
 //! cell through `runner::run`, so under `catch_unwind`, with the prebuilt
-//! codebook pool and on a fresh `SimCtx`.
+//! codebook pool and on a fresh `SimCtx`. Each record must also match its
+//! seed-1 line in the campaign crate's `golden/matrix_digest.txt`, so every
+//! experiment's bytes are pinned here at no extra simulation cost.
+
+#[path = "../crates/campaign/tests/digest/mod.rs"]
+mod digest;
 
 use mmwave_campaign::{runner, CampaignConfig, RunStatus};
 use mmwave_core::experiments;
@@ -24,6 +29,7 @@ fn assert_passes(id: &str) {
         r.violations.join("\n"),
         r.output
     );
+    digest::assert_unchanged(&[r]);
 }
 
 /// One `#[test]` per `name => id` pair, plus `COVERED`, the ids in order.
