@@ -20,8 +20,13 @@ use mmwave_sim::time::{SimDuration, SimTime};
 static ALLOC: CountingAlloc = CountingAlloc;
 
 fn bench_event_queue() {
-    bench("event_queue/schedule_pop_10k", || {
-        let mut q = EventQueue::with_ctx(&SimCtx::new());
+    // Each row reuses one queue across iterations, so its heap buffer is
+    // warm. Allocation events are deterministic, so the budget is exact,
+    // like IDLE_LINK_ALLOCS: a warm queue never allocates.
+    const WARM_QUEUE_ALLOCS: f64 = 0.0;
+    let ctx = SimCtx::new();
+    let mut q = EventQueue::with_ctx(&ctx);
+    let r = bench("event_queue/schedule_pop_10k", || {
         for i in 0..10_000u64 {
             q.schedule(SimTime::from_nanos((i * 7919) % 100_000), i);
         }
@@ -31,69 +36,72 @@ fn bench_event_queue() {
         }
         acc
     });
-    // The MAC's timer churn: every third scheduled event is cancelled
-    // before the drain, so the tombstone set is exercised on all three
-    // paths (insert on cancel, membership probe and removal on pop).
-    bench("event_queue/schedule_cancel_pop_10k", || {
-        let mut q = EventQueue::with_ctx(&SimCtx::new());
-        let mut ids = Vec::with_capacity(10_000);
-        for i in 0..10_000u64 {
-            ids.push(q.schedule(SimTime::from_nanos((i * 7919) % 100_000), i));
-        }
-        for id in ids.into_iter().step_by(3) {
-            q.cancel(id);
-        }
-        let mut acc = 0u64;
-        while let Some((_, v)) = q.pop() {
-            acc = acc.wrapping_add(v);
-        }
-        acc
-    });
-    // Dense interleaved timers across 64 flows. Each flow keeps three
-    // events in flight at once — a short-period pacer, a long RTO that
-    // every pacer fire cancels and pushes back, and a MAC slot boundary
-    // — the timer mix the transport/MAC co-simulation feeds the queue,
-    // at 192 pending events: deeper than any paper experiment (41 or
-    // fewer at seed 1 in quick mode, `fig22`/`fig23` 17 or fewer; only
-    // `enterprise`, at 336, goes past it). Rescheduling happens at pop
-    // time, so heap sifts and the lazy-cancellation set stay hot
-    // together.
-    bench("event_queue/dense_timers_64flows", || {
+    assert!(
+        r.allocs_per_iter <= WARM_QUEUE_ALLOCS,
+        "event_queue/schedule_pop_10k: {} allocations per iteration, budget {WARM_QUEUE_ALLOCS}",
+        r.allocs_per_iter
+    );
+    // Dense interleaved timers across 64 flows, in the MAC's exchange
+    // shape: each send arms a timeout tagged with the send's sequence
+    // number, and the reply, due first, supersedes it by clearing the
+    // flow's pending sequence. The superseded timeout still pops and is
+    // dropped by the sequence check, as `Net` drops a stale CTS or ACK
+    // timeout; every 16th reply is lost, so some timeouts fire for real.
+    // With a MAC slot boundary per flow this keeps about 192 events
+    // pending: deeper than any paper experiment except `enterprise`.
+    let mut q = EventQueue::with_ctx(&ctx);
+    let r = bench("event_queue/dense_timers_64flows", || {
         const FLOWS: u64 = 64;
-        let mut q = EventQueue::with_ctx(&SimCtx::new());
-        let mut rto: Vec<Option<mmwave_sim::queue::EventId>> = vec![None; FLOWS as usize];
+        const IDLE: u64 = u64::MAX;
+        // Payload: (seq << 8) | (flow << 2) | kind; kind 0 send, 1 reply,
+        // 2 timeout, 3 MAC slot boundary.
+        let ev = |seq: u64, f: u64, kind: u64| seq << 8 | f << 2 | kind;
+        let mut pending = [IDLE; FLOWS as usize];
+        let mut next_seq = 0u64;
         for f in 0..FLOWS {
-            // Payload encodes (flow, kind): kind 0 pacer, 1 RTO, 2 MAC.
-            q.schedule(SimTime::from_nanos(1_000 + f * 37), f * 3);
-            rto[f as usize] = Some(q.schedule(SimTime::from_nanos(1_000_000 + f * 101), f * 3 + 1));
-            q.schedule(SimTime::from_nanos(5_000 + f * 53), f * 3 + 2);
+            q.schedule(SimTime::from_nanos(1_000 + f * 37), ev(0, f, 0));
+            q.schedule(SimTime::from_nanos(5_000 + f * 53), ev(0, f, 3));
         }
         let mut acc = 0u64;
         for _ in 0..20_000u32 {
             let Some((t, v)) = q.pop() else { break };
             acc = acc.wrapping_add(v);
-            let f = (v / 3) as usize;
-            match v % 3 {
+            let (seq, f) = (v >> 8, v >> 2 & (FLOWS - 1));
+            match v & 3 {
                 0 => {
-                    // Pacer: periodic, and progress resets the RTO.
-                    q.schedule(t + SimDuration::from_nanos(2_357), v);
-                    if let Some(id) = rto[f].take() {
-                        q.cancel(id);
+                    let sent = next_seq;
+                    next_seq += 1;
+                    pending[f as usize] = sent;
+                    q.schedule(t + SimDuration::from_nanos(1_500), ev(sent, f, 2));
+                    if sent % 16 != 15 {
+                        q.schedule(t + SimDuration::from_nanos(1_000), ev(sent, f, 1));
                     }
-                    rto[f] = Some(q.schedule(t + SimDuration::from_nanos(1_000_000), v + 1));
                 }
                 1 => {
-                    // RTO actually fired (idle flow): back off and rearm.
-                    rto[f] = Some(q.schedule(t + SimDuration::from_nanos(2_000_000), v));
+                    pending[f as usize] = IDLE;
+                    q.schedule(t + SimDuration::from_nanos(357), ev(0, f, 0));
                 }
+                2 if pending[f as usize] == seq => {
+                    // Timeout actually fired (lost reply): back off.
+                    pending[f as usize] = IDLE;
+                    q.schedule(t + SimDuration::from_nanos(2_357), ev(0, f, 0));
+                }
+                2 => {} // superseded by the reply
                 _ => {
-                    // MAC slot boundary: fixed per-flow cadence.
-                    q.schedule(t + SimDuration::from_nanos(4_096 + f as u64 * 17), v);
+                    q.schedule(t + SimDuration::from_nanos(4_096 + f * 17), v);
                 }
             }
         }
+        while let Some((_, v)) = q.pop() {
+            acc = acc.wrapping_add(v);
+        }
         acc
     });
+    assert!(
+        r.allocs_per_iter <= WARM_QUEUE_ALLOCS,
+        "event_queue/dense_timers_64flows: {} allocations per iteration, budget {WARM_QUEUE_ALLOCS}",
+        r.allocs_per_iter
+    );
 }
 
 fn bench_raytrace() {
@@ -347,7 +355,7 @@ fn bench_link_cache() {
             SimTime::from_micros(5),
             &offs,
         );
-        m.finish_tx(id, -68.0).expect("tx exists").power_at[1]
+        m.finish_tx(id, |_| -68.0).expect("tx exists").power_at[1]
     };
 
     bench("link/begin_tx_cold_fresh_medium", || {
@@ -391,7 +399,7 @@ fn bench_link_cache() {
                 SimTime::from_micros(5),
                 offs_r,
             );
-            let tx = recycled.finish_tx(id, -68.0).expect("tx exists");
+            let tx = recycled.finish_tx(id, |_| -68.0).expect("tx exists");
             let p = tx.power_at[1];
             if let FrameKind::Data { mpdus: m, .. } = tx.frame.kind {
                 mpdus = m;
@@ -516,7 +524,7 @@ fn bench_spatial() {
             SimTime::from_micros(5),
             &offs,
         );
-        medium.finish_tx(id, -68.0).expect("tx exists").power_at[1]
+        medium.finish_tx(id, |_| -68.0).expect("tx exists").power_at[1]
     });
 }
 

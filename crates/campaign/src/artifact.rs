@@ -21,7 +21,7 @@
 //! * manifest: `schema = "mmwave-campaign/2"` (v2 added the streaming
 //!   control-plane execution fields: `workers`, `tasks_resumed`,
 //!   `chunks_streamed`, and a per-run `chunk_hash` integrity line)
-//! * run:      `schema = "mmwave-campaign-run/9"` (v2 added the
+//! * run:      `schema = "mmwave-campaign-run/10"` (v2 added the
 //!   `engine.link_gain_*` cache counters; v3 added the `scenario` label
 //!   and the `engine.scenario_mutations` / `engine.faults_injected`
 //!   fault-scenario counters; v4 added the `engine.codebook_hits` /
@@ -39,14 +39,16 @@
 //!   control plane appends incrementally and the worker protocol carries
 //!   verbatim — the fields are unchanged, the engine block is now encoded
 //!   and decoded through [`EngineCounters::FIELDS`] so the wire
-//!   marshalling cannot drift from the schema)
+//!   marshalling cannot drift from the schema; v10 removed
+//!   `engine.events_cancelled` with the event queue's cancellation, so
+//!   superseded MAC timeouts now count in `engine.events_popped`)
 
 use crate::json::Json;
 use crate::{CampaignResult, RunRecord, RunStatus};
 use mmwave_sim::metrics::EngineCounters;
 
 pub const MANIFEST_SCHEMA: &str = "mmwave-campaign/2";
-pub const RUN_SCHEMA: &str = "mmwave-campaign-run/9";
+pub const RUN_SCHEMA: &str = "mmwave-campaign-run/10";
 
 fn obj(fields: Vec<(&str, Json)>) -> Json {
     Json::Obj(

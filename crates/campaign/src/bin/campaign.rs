@@ -265,17 +265,16 @@ fn main() {
 
 fn print_table(result: &CampaignResult, shared: &SharedStats) {
     println!(
-        "{:<8} {:>6} {:>10} {:>12} {:>10} {:>9}  status",
-        "id", "seed", "wall ms", "events", "cancelled", "peak q"
+        "{:<8} {:>6} {:>10} {:>12} {:>9}  status",
+        "id", "seed", "wall ms", "events", "peak q"
     );
     for r in &result.records {
         println!(
-            "{:<8} {:>6} {:>10.1} {:>12} {:>10} {:>9}  {}",
+            "{:<8} {:>6} {:>10.1} {:>12} {:>9}  {}",
             r.experiment,
             r.seed,
             r.wall_ms,
             r.engine.events_popped,
-            r.engine.events_cancelled,
             r.engine.peak_queue_depth,
             r.status.as_str(),
         );

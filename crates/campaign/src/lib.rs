@@ -36,7 +36,7 @@
 //! * **Artifacts** — [`artifact`] encodes a campaign manifest plus one
 //!   structured JSON report per run ([`json`] is a std-only
 //!   encoder/decoder), including wall time and the engine's scheduler
-//!   counters (events popped/cancelled, peak queue depth) read from the
+//!   counters (events popped, peak queue depth) read from the
 //!   task's private [`mmwave_sim::ctx::SimCtx`].
 //!
 //! Std-only by construction: no crates.io dependencies, so the subsystem

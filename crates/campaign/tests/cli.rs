@@ -46,8 +46,8 @@ fn json_prints_the_manifest() {
 fn table_is_the_default_format() {
     let text = stdout_of(&["--quick", "--jobs", "1", "table1"]);
     let header = format!(
-        "{:<8} {:>6} {:>10} {:>12} {:>10} {:>9}  status\n",
-        "id", "seed", "wall ms", "events", "cancelled", "peak q"
+        "{:<8} {:>6} {:>10} {:>12} {:>9}  status\n",
+        "id", "seed", "wall ms", "events", "peak q"
     );
     assert!(text.starts_with(&header), "{text}");
     assert!(

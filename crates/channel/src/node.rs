@@ -62,13 +62,6 @@ impl RadioNode {
     pub fn face(&mut self, target: Point) {
         self.orientation = self.azimuth_to(target);
     }
-
-    /// A copy rotated by `delta` (the paper's 70° misalignment setup).
-    pub fn rotated(&self, delta: Angle) -> RadioNode {
-        let mut n = self.clone();
-        n.orientation = n.orientation + delta;
-        n
-    }
 }
 
 #[cfg(test)]
@@ -112,16 +105,5 @@ mod tests {
         assert!((end.gain_toward(Angle::from_degrees(45.0)) - 20.0).abs() < 0.01);
         // Towards 75° world = 30° off boresight.
         assert!((end.gain_toward(Angle::from_degrees(75.0)) - (20.0 - 30.0)).abs() < 0.1);
-    }
-
-    #[test]
-    fn rotated_copy() {
-        let n = RadioNode::new(0, "a", Point::ORIGIN, Angle::from_degrees(10.0));
-        let r = n.rotated(Angle::from_degrees(70.0));
-        assert!((r.orientation.degrees() - 80.0).abs() < 1e-9);
-        assert!(
-            (n.orientation.degrees() - 10.0).abs() < 1e-9,
-            "original untouched"
-        );
     }
 }

@@ -28,8 +28,8 @@ use crate::environment::Environment;
 use mmwave_geom::{shared_tree, Point};
 use mmwave_phy::{fspl_db, oxygen_loss_db};
 use mmwave_sim::ctx::SimCtx;
+use mmwave_sim::hash::FastMap;
 use std::cell::Cell;
-use std::collections::HashMap;
 
 /// Whether spatial pruning skips the pruned math or verifies it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -140,7 +140,7 @@ pub struct SpatialIndex {
     cutoff_m: f64,
     cell_m: f64,
     pos: Vec<Point>,
-    cells: HashMap<(i64, i64), Vec<usize>>,
+    cells: FastMap<(i64, i64), Vec<usize>>,
 }
 
 impl SpatialIndex {
@@ -151,7 +151,7 @@ impl SpatialIndex {
             cutoff_m,
             cell_m: cutoff_m.max(1.0),
             pos: Vec::new(),
-            cells: HashMap::new(),
+            cells: FastMap::default(),
         }
     }
 

@@ -9,8 +9,9 @@
 use mmwave_capture::scan::{angular_profile, AngularProfile};
 use mmwave_channel::{path_rx_dbm, LinkEnd};
 use mmwave_geom::{Angle, Point};
-use mmwave_mac::Net;
+use mmwave_mac::{Net, PatKey};
 use mmwave_phy::{db_to_lin, lin_to_db};
+use mmwave_sim::hash::FastMap;
 use mmwave_sim::time::SimTime;
 
 /// Measure the angular profile at `probe`: for each of `n_dirs` look
@@ -29,17 +30,23 @@ pub fn measure_profile(
     from: SimTime,
     to: SimTime,
 ) -> AngularProfile {
-    use std::collections::HashMap;
-    // Airtime per (src, pattern) combination.
-    let mut airtime: HashMap<(usize, mmwave_mac::PatKey), f64> = HashMap::new();
-    let mut extra: HashMap<(usize, mmwave_mac::PatKey), f64> = HashMap::new();
+    // Per (src, pattern) combination, in the order each first appears in
+    // the log (so every sum below runs in one fixed order): its airtime
+    // and its power boost.
+    let mut combos: Vec<((usize, PatKey), f64, f64)> = Vec::new();
+    let mut slot_of: FastMap<(usize, PatKey), usize> = FastMap::default();
     for e in net.txlog().in_window(from, to) {
-        *airtime.entry((e.src, e.pattern)).or_insert(0.0) += (e.end - e.start).as_secs_f64();
+        let key = (e.src, e.pattern);
+        let slot = *slot_of.entry(key).or_insert_with(|| {
+            combos.push((key, 0.0, 0.0));
+            combos.len() - 1
+        });
+        combos[slot].1 += (e.end - e.start).as_secs_f64();
         // Control-PHY frames carry the boost; a (src, pattern) combo is
         // only ever used by one class in practice, so last-write wins.
-        extra.insert((e.src, e.pattern), net.config().extra_power_db(e.class));
+        combos[slot].2 = net.config().extra_power_db(e.class);
     }
-    let total_time: f64 = airtime.values().sum();
+    let total_time: f64 = combos.iter().map(|&(_, t, _)| t).sum();
     // Per combination: (arrival azimuth, linear power *without* the horn
     // gain, i.e. at an isotropic 0 dBi receiver) for every path, scaled by
     // the combo's airtime share.
@@ -47,7 +54,7 @@ pub fn measure_profile(
     let horn = mmwave_phy::horn_25dbi();
     let unit = mmwave_phy::AntennaPattern::isotropic(0.0);
     let at_probe = LinkEnd::new(Angle::ZERO, &unit);
-    for (&(src, pat), &t) in &airtime {
+    for &((src, pat), t, extra_db) in &combos {
         let dev = net.device(src);
         let paths = net.env.paths(dev.node.position, probe);
         let tx = dev.node.with_pattern(dev.pattern(pat));
@@ -58,7 +65,7 @@ pub fn measure_profile(
                 tx,
                 at_probe,
                 dev.tx_power_offset_db,
-                extra[&(src, pat)],
+                extra_db,
             );
             components.push((path.arrival, db_to_lin(dbm) * t / total_time.max(1e-12)));
         }
@@ -119,12 +126,13 @@ pub fn unattributed_lobes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenarios::{reflection_room, RoomSystem};
+    use crate::scenarios::{reflection_room, ReflectionRoom, RoomSystem};
     use mmwave_mac::NetConfig;
     use mmwave_sim::ctx::SimCtx;
 
-    #[test]
-    fn profile_of_active_wigig_link_sees_both_endpoints() {
+    /// The conference room after 40 ms of data on its WiGig link (the
+    /// laptop transmits).
+    fn loaded_wigig_room() -> ReflectionRoom {
         let mut r = reflection_room(
             &SimCtx::new(),
             RoomSystem::Wigig,
@@ -134,11 +142,16 @@ mod tests {
                 ..NetConfig::default()
             },
         );
-        // Load the link so data flows (laptop is the transmitter).
         for i in 0..2000u64 {
             r.net.push_mpdu(r.tx, 1500, i);
         }
         r.net.run_until(SimTime::from_millis(40));
+        r
+    }
+
+    #[test]
+    fn profile_of_active_wigig_link_sees_both_endpoints() {
+        let r = loaded_wigig_room();
         let probe = r.layout.probe('A');
         let profile = measure_profile(&r.net, probe, 120, SimTime::ZERO, SimTime::from_millis(40));
         let exp = expected_directions(&r.net, probe, r.tx, r.rx);
@@ -152,6 +165,25 @@ mod tests {
             profile.has_lobe_toward(exp.toward_rx, 20f64.to_radians(), 1.0, 20.0),
             "no RX lobe"
         );
+    }
+
+    #[test]
+    fn repeat_profiles_are_bit_identical() {
+        // Every sum runs in log order, so measuring the same window of the
+        // same net twice gives the same bits.
+        let r = loaded_wigig_room();
+        let probe = r.layout.probe('A');
+        let bits = || -> Vec<u64> {
+            measure_profile(&r.net, probe, 120, SimTime::ZERO, SimTime::from_millis(40))
+                .points()
+                .iter()
+                .map(|p| p.power_dbm.to_bits())
+                .collect()
+        };
+        let first = bits();
+        for call in 1..=8 {
+            assert!(bits() == first, "call {call} changed the bits");
+        }
     }
 
     #[test]

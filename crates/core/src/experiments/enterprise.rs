@@ -23,6 +23,7 @@ use mmwave_channel::{Environment, SpatialConfig};
 use mmwave_geom::{Angle, Material, Point, Room, Segment};
 use mmwave_mac::{Delivery, Device, Net, NetConfig};
 use mmwave_sim::ctx::SimCtx;
+use mmwave_sim::hash::FastMap;
 use mmwave_sim::time::SimTime;
 
 const ROOMS_X: usize = 6;
@@ -137,7 +138,7 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
     // --- traffic --------------------------------------------------------
     let horizon_ms = if quick { 20u64 } else { 120u64 };
     let mut delivered_bytes = vec![0u64; links.len()];
-    let link_of_dock: std::collections::HashMap<usize, usize> = links
+    let link_of_dock: FastMap<usize, usize> = links
         .iter()
         .enumerate()
         .map(|(i, &(dock, _))| (dock, i))

@@ -19,7 +19,7 @@ use mmwave_sim::ctx::{CacheMode, SimCtx};
 use mmwave_sim::stats::Cdf;
 use mmwave_sim::time::{SimDuration, SimTime};
 use mmwave_transport::{CcKind, Stack, TcpConfig};
-use std::collections::HashMap;
+use std::cmp::Reverse;
 use std::sync::Arc;
 
 /// One measured operating point.
@@ -81,18 +81,17 @@ fn run_point(ctx: &SimCtx, seed: u64, pace_bps: Option<u64>, window: u64, secs: 
     // 5 µs" in the paper); anything longer carries ≥2 MPDUs.
     let long_fraction = frame_level::long_frame_fraction(net, dock, warmup, end, 6.0);
     let medium_usage = frame_level::medium_usage(net, warmup, end, SimDuration::from_millis(1));
-    // Dominant MCS among the dock's data frames.
-    let mut counts: HashMap<u8, usize> = HashMap::new();
+    // Dominant MCS among the dock's data frames: the first index with the
+    // highest count, so ties go to the lower MCS (0 if no data was sent).
+    let mut counts = [0usize; 256];
     for e in net.txlog().of(dock, FrameClass::Data) {
         if let Some(m) = e.mcs {
-            *counts.entry(m).or_insert(0) += 1;
+            counts[m as usize] += 1;
         }
     }
-    let mcs = counts
-        .into_iter()
-        .max_by_key(|(_, c)| *c)
-        .map(|(m, _)| m)
-        .unwrap_or(0);
+    let mcs = (0..=u8::MAX)
+        .min_by_key(|&m| Reverse(counts[m as usize]))
+        .expect("a non-empty range");
     PointData {
         label: label_of(throughput),
         throughput_mbps: throughput,

@@ -13,8 +13,8 @@ use mmwave_channel::{multipath_rx_dbm, LinkEnd};
 use mmwave_geom::{Angle, Point, PropPath};
 use mmwave_mac::{Net, TxLogEntry};
 use mmwave_phy::{db_to_lin, lin_to_db};
+use mmwave_sim::hash::FastMap;
 use mmwave_sim::time::SimTime;
-use std::collections::HashMap;
 
 /// Where the capture equipment sits and what it points at.
 #[derive(Clone, Debug)]
@@ -59,7 +59,7 @@ pub fn replay_trace(net: &Net, tap: &TapConfig, from: SimTime, to: SimTime) -> S
     // Cache paths per (source, logged position): scenario mobility can move
     // a device mid-run, so a replay must trace from where the source stood
     // at transmission time — the log records that pose per entry.
-    let mut paths: HashMap<(usize, u64, u64), Vec<PropPath>> = HashMap::new();
+    let mut paths: FastMap<(usize, u64, u64), Vec<PropPath>> = FastMap::default();
     for e in net.txlog().in_window(from, to) {
         let p = paths
             .entry((

@@ -9,7 +9,6 @@ use mmwave_phy::{
     AntennaPattern, ArrayConfig, Codebook, PhasedArray, RateAdapter, RateAdapterConfig,
 };
 use mmwave_sim::ctx::SimCtx;
-use mmwave_sim::queue::EventId;
 use mmwave_sim::time::SimTime;
 use std::collections::VecDeque;
 
@@ -50,10 +49,8 @@ pub enum WigigState {
 pub struct AwaitingAck {
     /// The MPDUs that were on board (requeued on loss).
     pub mpdus: Vec<Mpdu>,
-    /// Sequence number of the data frame.
+    /// Sequence number of the data frame; its ACK timeout carries it.
     pub seq: u64,
-    /// The pending ACK-timeout event.
-    pub timeout: EventId,
 }
 
 /// State of a WiGig (D5000 / laptop) device.
@@ -91,8 +88,9 @@ pub struct WigigDev {
     pub awaiting_ack: Option<AwaitingAck>,
     /// A TxopAttempt event is already pending.
     pub contending: bool,
-    /// CTS-timeout event pending after an RTS.
-    pub pending_cts: Option<EventId>,
+    /// Sequence number of the RTS awaiting its CTS; its CTS timeout
+    /// carries it.
+    pub pending_cts: Option<u64>,
     /// Consecutive RTS attempts that produced no CTS (deferral streak —
     /// only a very long streak, i.e. a dead link, drops traffic).
     pub cts_fail_streak: u8,
@@ -217,6 +215,12 @@ pub struct Device {
 }
 
 impl Device {
+    /// The carrier-sense threshold this device operates with: its
+    /// override, else the network's `default_dbm`.
+    pub(crate) fn cs_threshold_dbm(&self, default_dbm: f64) -> f64 {
+        self.cs_threshold_override_dbm.unwrap_or(default_dbm)
+    }
+
     /// A docking station (canonical array seed `mmwave_phy::calib::DOCK_SEED`
     /// unless varied). Codebooks come from `ctx`'s per-context cache.
     pub fn wigig_dock(

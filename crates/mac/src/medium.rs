@@ -15,6 +15,7 @@ use mmwave_channel::{gain_rx_dbm, link_state, Environment, LinkGainCache};
 use mmwave_geom::Point;
 use mmwave_phy::{db_to_lin, lin_to_db};
 use mmwave_sim::ctx::SimCtx;
+use mmwave_sim::hash::FastSet;
 use mmwave_sim::metrics::Counter;
 use mmwave_sim::time::SimTime;
 
@@ -58,7 +59,7 @@ struct SpatialState {
     /// epoch suffices; entries involving a device are dropped when it
     /// moves (and on full flushes). Membership-only use — iteration order
     /// never observed.
-    audited: std::collections::HashSet<(usize, usize)>,
+    audited: FastSet<(usize, usize)>,
 }
 
 impl SpatialState {
@@ -140,7 +141,7 @@ impl Medium {
             mode,
             floor_dbm: cfg.floor_dbm,
             scratch: Vec::new(),
-            audited: std::collections::HashSet::new(),
+            audited: FastSet::default(),
         }));
     }
 
@@ -337,16 +338,21 @@ impl Medium {
         id
     }
 
-    /// Remove a finished transmission and return it. `cs_threshold_dbm`
-    /// decides which devices "heard" it (for AIFS idle tracking).
-    pub fn finish_tx(&mut self, id: u64, cs_threshold_dbm: f64) -> Option<ActiveTx> {
+    /// Remove a finished transmission and return it. A device "heard" it
+    /// (for AIFS idle tracking) if it arrived above that device's
+    /// carrier-sense threshold, `cs_threshold_dbm(device)`.
+    pub fn finish_tx(
+        &mut self,
+        id: u64,
+        cs_threshold_dbm: impl Fn(usize) -> f64,
+    ) -> Option<ActiveTx> {
         let idx = self.active.iter().position(|t| t.id == id)?;
         let tx = self.active.swap_remove(idx);
         if self.last_heard_end.len() < tx.power_at.len() {
             self.last_heard_end.resize(tx.power_at.len(), SimTime::ZERO);
         }
         for (d, &p) in tx.power_at.iter().enumerate() {
-            if p > cs_threshold_dbm || d == tx.frame.src {
+            if d == tx.frame.src || p > cs_threshold_dbm(d) {
                 self.last_heard_end[d] = self.last_heard_end[d].max(tx.end);
             }
         }
@@ -478,7 +484,7 @@ mod tests {
             t(5),
             &offs,
         );
-        let tx = m.finish_tx(id, -68.0).expect("tx exists");
+        let tx = m.finish_tx(id, |_| -68.0).expect("tx exists");
         // Trained 2 m link: roughly 7 + 2·16 − 74 − 14 ≈ −49 dBm.
         assert!(tx.power_at[1] > -60.0, "power {}", tx.power_at[1]);
         assert_eq!(tx.power_at[0], -300.0, "no self-reception");
@@ -505,7 +511,7 @@ mod tests {
         assert!(m.is_busy_for(1, -68.0), "laptop must sense the dock");
         assert!(m.is_transmitting(0));
         assert!(!m.is_transmitting(1));
-        m.finish_tx(id, -68.0);
+        m.finish_tx(id, |_| -68.0);
         assert!(!m.is_busy_for(1, -68.0));
         assert!(!m.is_transmitting(0));
     }
@@ -557,7 +563,7 @@ mod tests {
             t(6),
             &offs,
         );
-        let tx_a = m.finish_tx(a, -68.0).expect("tx a");
+        let tx_a = m.finish_tx(a, |_| -68.0).expect("tx a");
         // Frame A suffered interference from B (side lobes), recorded in mW.
         assert!(tx_a.interference_lin > 0.0);
         assert!(!tx_a.dst_was_busy);
@@ -589,12 +595,12 @@ mod tests {
             t(7),
             &offs,
         );
-        let tx_a = m.finish_tx(a, -68.0).expect("a");
+        let tx_a = m.finish_tx(a, |_| -68.0).expect("a");
         assert!(
             tx_a.dst_was_busy,
             "laptop was transmitting during reception"
         );
-        let tx_b = m.finish_tx(b, -68.0).expect("b");
+        let tx_b = m.finish_tx(b, |_| -68.0).expect("b");
         assert!(tx_b.dst_was_busy, "dock was transmitting when b started");
     }
 
@@ -739,7 +745,7 @@ mod tests {
                 t(5),
                 &offs,
             );
-            let tx = m.finish_tx(id, -68.0).expect("tx");
+            let tx = m.finish_tx(id, |_| -68.0).expect("tx");
             runs.push((tx.power_at.clone(), ctx.counters().spatial_pruned_pairs));
         }
         let (enforce, audit) = (&runs[0], &runs[1]);

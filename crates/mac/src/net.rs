@@ -23,7 +23,6 @@ use mmwave_sim::queue::EventQueue;
 use mmwave_sim::rng::SimRng;
 use mmwave_sim::stats::BusyTracker;
 use mmwave_sim::time::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// Network events.
 #[derive(Debug)]
@@ -42,10 +41,10 @@ pub(crate) enum NetEv {
     TxopAttempt { dev: usize },
     /// Send the next data PPDU inside the current TXOP.
     TxopData { dev: usize },
-    /// No CTS arrived after our RTS.
-    CtsTimeout { dev: usize },
-    /// No ACK arrived after our data frame.
-    AckTimeout { dev: usize },
+    /// No CTS arrived after RTS `seq`.
+    CtsTimeout { dev: usize, seq: u64 },
+    /// No ACK arrived after data frame `seq`.
+    AckTimeout { dev: usize, seq: u64 },
     /// WiHD sink beacon.
     WihdBeaconTick { dev: usize },
     /// WiHD source: new video frame enters the queue.
@@ -261,7 +260,7 @@ pub struct UtilizationMonitor {
     threshold_dbm: f64,
     busy: BusyTracker,
     started: SimTime,
-    paths: HashMap<usize, Vec<PropPath>>,
+    paths: FastMap<usize, Vec<PropPath>>,
 }
 
 /// A radio scenario under simulation.
@@ -413,7 +412,7 @@ impl Net {
             threshold_dbm,
             busy: BusyTracker::new(),
             started: self.now,
-            paths: HashMap::new(),
+            paths: FastMap::default(),
         });
         self.monitors.len() - 1
     }
@@ -593,7 +592,7 @@ impl Net {
     }
 
     /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
     }
 
@@ -944,8 +943,8 @@ impl Net {
             NetEv::BeaconTick { dev } => wigig::on_beacon_tick(self, dev),
             NetEv::TxopAttempt { dev } => wigig::on_txop_attempt(self, dev),
             NetEv::TxopData { dev } => wigig::send_next_data(self, dev),
-            NetEv::CtsTimeout { dev } => wigig::on_cts_timeout(self, dev),
-            NetEv::AckTimeout { dev } => wigig::on_ack_timeout(self, dev),
+            NetEv::CtsTimeout { dev, seq } => wigig::on_cts_timeout(self, dev, seq),
+            NetEv::AckTimeout { dev, seq } => wigig::on_ack_timeout(self, dev, seq),
             NetEv::WihdBeaconTick { dev } => wihd::on_beacon_tick(self, dev),
             NetEv::WihdVideoTick { dev } => wihd::on_video_tick(self, dev),
             NetEv::WihdSendNext { dev } => wihd::send_next(self, dev),
@@ -956,7 +955,8 @@ impl Net {
     }
 
     fn on_tx_end(&mut self, tx_id: u64) {
-        let cs_thr = self.cfg.params.cs_threshold_dbm;
+        let (devices, default_dbm) = (&self.devices, self.cfg.params.cs_threshold_dbm);
+        let cs_thr = |d: usize| devices[d].cs_threshold_dbm(default_dbm);
         let Some(tx) = self.medium.finish_tx(tx_id, cs_thr) else {
             return;
         };
@@ -1208,5 +1208,54 @@ mod tests {
             sub.frame().kind,
             FrameKind::DiscoverySub { pattern_idx: 5 }
         ));
+    }
+
+    #[test]
+    fn aifs_memory_uses_each_devices_own_threshold() {
+        // A listener 11 m from the dock hears its frame at about −65 dBm:
+        // above the network's −68 dBm carrier-sense threshold, below the
+        // listener's own −60 dBm override. By its own threshold the
+        // channel was never busy, so it is AIFS-idle the moment the frame
+        // ends; with the default threshold the frame holds it for an AIFS.
+        let ctx = SimCtx::new();
+        let cfg = NetConfig {
+            enable_fading: false,
+            ..NetConfig::default()
+        };
+        let aifs = cfg.params.aifs();
+        let mut net = Net::with_ctx(Environment::new(Room::open_space()), cfg, &ctx);
+        let dock = net.add_device(Device::wigig_dock(
+            &ctx,
+            "d",
+            Point::new(0.0, 0.0),
+            Angle::ZERO,
+            16,
+        ));
+        let listener = net.add_device(Device::wigig_laptop(
+            &ctx,
+            "l",
+            Point::new(11.0, 0.0),
+            Angle::from_degrees(180.0),
+            111,
+        ));
+        let idle_at_frame_end = |net: &mut Net, seq: u64| {
+            let frame = Frame {
+                src: dock,
+                dst: None,
+                kind: FrameKind::DiscoverySub { pattern_idx: 0 },
+                seq,
+            };
+            let (_, end) = net.start_tx(frame, PatKey::Qo(0));
+            let heard = net.medium().energy_at(listener);
+            assert!((-66.0..-64.0).contains(&heard), "{heard} dBm");
+            net.run_until(end);
+            let threshold = wigig::cs_threshold(net, listener);
+            net.medium().idle_for(listener, threshold, end, aifs)
+        };
+        net.device_mut(listener).cs_threshold_override_dbm = Some(-60.0);
+        assert!(idle_at_frame_end(&mut net, 1));
+        net.run_until(SimTime::from_millis(1));
+        net.device_mut(listener).cs_threshold_override_dbm = None;
+        assert!(!idle_at_frame_end(&mut net, 2));
     }
 }

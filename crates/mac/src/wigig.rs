@@ -36,9 +36,7 @@ const LOSS_RECOVERY_BUDGET: u8 = 3;
 /// The carrier-sense threshold this device operates with (per-device
 /// override, else the network default).
 pub(crate) fn cs_threshold(net: &Net, dev: usize) -> f64 {
-    net.devices[dev]
-        .cs_threshold_override_dbm
-        .unwrap_or(net.cfg.params.cs_threshold_dbm)
+    net.devices[dev].cs_threshold_dbm(net.cfg.params.cs_threshold_dbm)
 }
 
 // ---------------------------------------------------------------------
@@ -216,7 +214,7 @@ fn update_link_snr_inner(net: &mut Net, me: usize, peer: usize, allow_retrain: b
 pub(crate) fn break_link(net: &mut Net, a: usize, b: usize) {
     use crate::device::WigigRole;
     for d in [a, b] {
-        let (pending, lost_tags): (Vec<_>, Vec<u64>) = {
+        let lost_tags: Vec<u64> = {
             let Some(w) = net.devices[d].wigig_mut() else {
                 continue;
             };
@@ -231,21 +229,15 @@ pub(crate) fn break_link(net: &mut Net, a: usize, b: usize) {
             w.ack_fail_streak = 0;
             w.beacon_fail_streak = 0;
             w.loss_recovery_attempts = 0;
+            // Clearing the pending exchanges supersedes their timeouts.
+            w.pending_cts = None;
             let mut lost: Vec<u64> = w.queue.drain(..).map(|m| m.tag).collect();
-            let mut ids = Vec::new();
             if let Some(aa) = w.awaiting_ack.take() {
-                ids.push(aa.timeout);
                 lost.extend(aa.mpdus.iter().map(|m| m.tag));
                 net.mpdu_pool.put(aa.mpdus);
             }
-            if let Some(id) = w.pending_cts.take() {
-                ids.push(id);
-            }
-            (ids, lost)
+            lost
         };
-        for id in pending {
-            net.queue.cancel(id);
-        }
         if !lost_tags.is_empty() {
             net.devices[d].stats.drops += 1;
             net.delivered.push(Delivery::Dropped {
@@ -567,9 +559,10 @@ pub(crate) fn on_txop_attempt(net: &mut Net, dev: usize) {
         SimDuration::from_micros(30),
     );
     let timeout_at = end + sifs + cts_dur + SimDuration::from_micros(3);
-    let id = net.queue.schedule(timeout_at, NetEv::CtsTimeout { dev });
+    net.queue
+        .schedule(timeout_at, NetEv::CtsTimeout { dev, seq });
     if let Some(w) = net.devices[dev].wigig_mut() {
-        w.pending_cts = Some(id);
+        w.pending_cts = Some(seq);
     }
 }
 
@@ -577,14 +570,17 @@ pub(crate) fn on_txop_attempt(net: &mut Net, dev: usize) {
 /// refuses the CTS while its medium is busy, so the sender backs off with
 /// a bounded window and retries. Only a very long streak (a dead link)
 /// drops the head-of-queue batch.
-pub(crate) fn on_cts_timeout(net: &mut Net, dev: usize) {
+///
+/// A timeout for an RTS that is no longer pending (its CTS arrived, or
+/// the link broke) is superseded and changes nothing.
+pub(crate) fn on_cts_timeout(net: &mut Net, dev: usize, rts_seq: u64) {
     const CTS_CW_CAP: u32 = 64;
     const CTS_DEAD_STREAK: u8 = 25;
     let dropped: Option<Vec<u64>> = {
         let Some(w) = net.devices[dev].wigig_mut() else {
             return;
         };
-        if w.pending_cts.is_none() {
+        if w.pending_cts != Some(rts_seq) {
             return;
         }
         w.pending_cts = None;
@@ -702,25 +698,25 @@ pub(crate) fn send_next_data(net: &mut Net, dev: usize) {
     };
     let (_, end) = net.start_tx(frame, PatKey::Dir(sector));
     let timeout_at = end + params.ack_timeout;
-    let id = net.queue.schedule(timeout_at, NetEv::AckTimeout { dev });
+    net.queue
+        .schedule(timeout_at, NetEv::AckTimeout { dev, seq });
     if let Some(w) = net.devices[dev].wigig_mut() {
-        w.awaiting_ack = Some(crate::device::AwaitingAck {
-            mpdus,
-            seq,
-            timeout: id,
-        });
+        w.awaiting_ack = Some(crate::device::AwaitingAck { mpdus, seq });
     }
 }
 
 /// ACK never arrived: count the loss, requeue or drop, back off.
-pub(crate) fn on_ack_timeout(net: &mut Net, dev: usize) {
+///
+/// A timeout for a data frame that is no longer awaiting its ACK (the ACK
+/// arrived, or the link broke) is superseded and changes nothing.
+pub(crate) fn on_ack_timeout(net: &mut Net, dev: usize, data_seq: u64) {
     let retry_limit = net.cfg.params.retry_limit;
     let cw_max = net.cfg.params.cw_max;
     let dropped: Option<Vec<u64>> = {
         let Some(w) = net.devices[dev].wigig_mut() else {
             return;
         };
-        let Some(aa) = w.awaiting_ack.take() else {
+        let Some(aa) = w.awaiting_ack.take_if(|aa| aa.seq == data_seq) else {
             return;
         };
         w.adapter.on_frame_result(false);
@@ -830,12 +826,12 @@ pub(crate) fn on_frame_end(net: &mut Net, tx: &ActiveTx, delivered: Option<bool>
         }
         FrameKind::Cts if delivered == Some(true) => {
             let owner = tx.frame.dst.expect("cts addressed");
+            // Clearing `pending_cts` supersedes the RTS's CTS timeout.
             let pending = net.devices[owner].wigig_mut().and_then(|w| {
                 w.cts_fail_streak = 0;
                 w.pending_cts.take()
             });
-            if let Some(id) = pending {
-                net.queue.cancel(id);
+            if pending.is_some() {
                 let at = net.now() + sifs;
                 net.queue.schedule(at, NetEv::TxopData { dev: owner });
             }
@@ -875,6 +871,7 @@ pub(crate) fn on_frame_end(net: &mut Net, tx: &ActiveTx, delivered: Option<bool>
                     return;
                 };
                 txop_max = w.cfg.txop_max;
+                // Taking `awaiting_ack` supersedes the frame's ACK timeout.
                 if let Some(aa) = w.awaiting_ack.take() {
                     w.adapter.on_frame_result(true);
                     w.retry = 0;
@@ -882,13 +879,12 @@ pub(crate) fn on_frame_end(net: &mut Net, tx: &ActiveTx, delivered: Option<bool>
                     w.ack_fail_streak = 0;
                     w.loss_recovery_attempts = 0;
                     net.mpdu_pool.put(aa.mpdus);
-                    Some(aa.timeout)
+                    true
                 } else {
-                    None
+                    false
                 }
             };
-            if let Some(timeout) = proceed {
-                net.queue.cancel(timeout);
+            if proceed {
                 net.devices[owner].stats.acks_rx += 1;
                 let now = net.now();
                 let (more, in_budget) = {
@@ -909,5 +905,113 @@ pub(crate) fn on_frame_end(net: &mut Net, tx: &ActiveTx, delivered: Option<bool>
             }
         }
         _ => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::device::Device;
+    use crate::net::NetConfig;
+    use mmwave_channel::Environment;
+    use mmwave_geom::{Point, Room};
+    use mmwave_sim::ctx::SimCtx;
+
+    /// An instantly associated 2 m link whose dock has a backlog to send.
+    fn loaded_link() -> (Net, usize) {
+        let cfg = NetConfig {
+            seed: 3,
+            enable_fading: false,
+            ..NetConfig::default()
+        };
+        let mut net = Net::with_ctx(Environment::new(Room::open_space()), cfg, &SimCtx::new());
+        let dock = net.add_device(Device::wigig_dock(
+            net.ctx(),
+            "dock",
+            Point::new(0.0, 0.0),
+            Angle::ZERO,
+            13,
+        ));
+        let laptop = net.add_device(Device::wigig_laptop(
+            net.ctx(),
+            "laptop",
+            Point::new(2.0, 0.0),
+            Angle::from_degrees(180.0),
+            11,
+        ));
+        net.associate_instantly(dock, laptop);
+        for tag in 0..64 {
+            net.push_mpdu(dock, 1500, tag);
+        }
+        (net, dock)
+    }
+
+    /// Everything a timeout handler may touch: the device's MAC state and
+    /// counters, the RNG, the event queue and the delivery log.
+    fn snapshot(net: &Net, dev: usize) -> String {
+        let d = &net.devices[dev];
+        let w = d.wigig().expect("wigig");
+        format!(
+            "{:?} {:?} {:?} {:?} {:?} cw={} retry={} txop={} contending={} \
+             streaks={}/{}/{}/{} {:?} {:?} queued={} delivered={}",
+            w.state,
+            w.queue,
+            w.awaiting_ack,
+            w.pending_cts,
+            w.adapter,
+            w.cw,
+            w.retry,
+            w.in_txop,
+            w.contending,
+            w.cts_fail_streak,
+            w.ack_fail_streak,
+            w.beacon_fail_streak,
+            w.loss_recovery_attempts,
+            d.stats,
+            net.rng,
+            net.queue.len(),
+            net.delivered.len(),
+        )
+    }
+
+    /// Step the event loop until `pending` reports a sequence number.
+    fn run_until_pending(
+        net: &mut Net,
+        dev: usize,
+        pending: fn(&Net, usize) -> Option<u64>,
+    ) -> u64 {
+        loop {
+            if let Some(seq) = pending(net, dev) {
+                return seq;
+            }
+            assert!(net.step(), "event queue ran dry");
+        }
+    }
+
+    #[test]
+    fn superseded_timeouts_change_nothing() {
+        let (mut net, dock) = loaded_link();
+        let rts = run_until_pending(&mut net, dock, |n, d| {
+            n.devices[d].wigig().expect("wigig").pending_cts
+        });
+        let before = snapshot(&net, dock);
+        // A CTS timeout left over from an earlier RTS is a no-op.
+        on_cts_timeout(&mut net, dock, rts - 1);
+        assert_eq!(snapshot(&net, dock), before);
+        // The timeout of the pending RTS is not.
+        on_cts_timeout(&mut net, dock, rts);
+        assert_ne!(snapshot(&net, dock), before);
+
+        let (mut net, dock) = loaded_link();
+        let data = run_until_pending(&mut net, dock, |n, d| {
+            let w = n.devices[d].wigig().expect("wigig");
+            w.awaiting_ack.as_ref().map(|aa| aa.seq)
+        });
+        let before = snapshot(&net, dock);
+        // An ACK timeout left over from an earlier data PPDU is a no-op.
+        on_ack_timeout(&mut net, dock, data - 1);
+        assert_eq!(snapshot(&net, dock), before);
+        on_ack_timeout(&mut net, dock, data);
+        assert_ne!(snapshot(&net, dock), before);
     }
 }

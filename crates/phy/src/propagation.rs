@@ -89,11 +89,6 @@ impl LinkBudget {
             - path_loss_db(self.freq_hz, path)
             - self.implementation_loss_db
     }
-
-    /// SNR in dB for a given received power.
-    pub fn snr_db(&self, rx_power_dbm: f64) -> f64 {
-        rx_power_dbm - self.noise_floor_dbm()
-    }
 }
 
 #[cfg(test)]
@@ -148,7 +143,7 @@ mod tests {
             &TraceConfig::default(),
         );
         let rx = lb.rx_power_dbm(16.5, 16.5, &paths[0]);
-        let snr = lb.snr_db(rx);
+        let snr = rx - lb.noise_floor_dbm();
         let table = crate::mcs::McsTable::ieee_802_11ad();
         let needed = table.get(11).snr_threshold_db(lb.noise_floor_dbm());
         assert!(snr > needed + 3.0, "snr {snr} needed {needed}");
@@ -165,7 +160,7 @@ mod tests {
             Point::new(14.0, 0.0),
             &TraceConfig::default(),
         );
-        let snr = lb.snr_db(lb.rx_power_dbm(16.5, 16.5, &paths[0]));
+        let snr = lb.rx_power_dbm(16.5, 16.5, &paths[0]) - lb.noise_floor_dbm();
         let table = crate::mcs::McsTable::ieee_802_11ad();
         let nf = lb.noise_floor_dbm();
         assert!(

@@ -187,7 +187,6 @@ mod tests {
         assert_eq!(ctx.counters(), EngineCounters::default());
         ctx.bump(Counter::EventsPopped);
         ctx.bump(Counter::EventsPopped);
-        ctx.bump(Counter::EventsCancelled);
         ctx.raise(Counter::PeakQueueDepth, 3);
         ctx.raise(Counter::PeakQueueDepth, 1);
         ctx.add(Counter::LinkGainHits, 3);
@@ -196,12 +195,11 @@ mod tests {
         ctx.add(Counter::SpatialPrunedPairs, 0);
         let s = ctx.counters();
         assert_eq!(s.events_popped, 2);
-        assert_eq!(s.events_cancelled, 1);
         assert_eq!(s.peak_queue_depth, 3);
         assert_eq!(s.link_gain_hits, 3);
         assert_eq!(s.codebook_misses, 1);
         assert_eq!(s.spatial_pruned_pairs, 4);
-        assert_eq!(s.fields().filter(|&(_, v)| v != 0).count(), 6);
+        assert_eq!(s.fields().filter(|&(_, v)| v != 0).count(), 5);
     }
 
     #[test]

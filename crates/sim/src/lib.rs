@@ -7,7 +7,7 @@
 //! * [`time`] — integer-nanosecond simulated time ([`SimTime`], [`SimDuration`])
 //!   so protocol constants (SIFS = 3 µs, beacon interval = 1.1 ms, …) are exact
 //!   and never drift through floating point.
-//! * [`queue`] — a cancellable, deterministically ordered event queue. Two
+//! * [`queue`] — a deterministically ordered event queue. Two
 //!   events scheduled for the same instant pop in scheduling order, so a
 //!   simulation is a pure function of its inputs and seed. Each simulator
 //!   (the MAC's `Net`, for one) drives its own loop over an
@@ -31,7 +31,7 @@
 //! ```
 //! use mmwave_sim::prelude::*;
 //!
-//! // A queue whose pops, cancels and depth land in `ctx`'s counters.
+//! // A queue whose pops and depth land in `ctx`'s counters.
 //! let ctx = SimCtx::new();
 //! let mut queue = EventQueue::with_ctx(&ctx);
 //! // Schedule three ticks out of order, 100 µs apart.
@@ -61,7 +61,7 @@ pub mod prelude {
     pub use crate::ctx::{CacheMode, SimCtx};
     pub use crate::hash::{FastMap, FastSet};
     pub use crate::metrics::EngineCounters;
-    pub use crate::queue::{EventId, EventQueue};
+    pub use crate::queue::EventQueue;
     pub use crate::rng::SimRng;
     pub use crate::series::TimeSeries;
     pub use crate::stats::{BusyTracker, Cdf, OnlineStats};

@@ -152,8 +152,6 @@ impl EngineCounters {
 engine_counters! {
     /// Events popped and executed.
     EventsPopped events_popped: Sum,
-    /// Events cancelled while still pending.
-    EventsCancelled events_cancelled: Sum,
     /// Highest number of simultaneously pending events.
     PeakQueueDepth peak_queue_depth: Max,
     /// Radiometric link-gain cache lookups answered from a memoized entry.

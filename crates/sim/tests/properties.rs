@@ -39,38 +39,6 @@ fn queue_pops_sorted_and_stable() {
     }
 }
 
-/// Cancelling an arbitrary subset removes exactly those events.
-#[test]
-fn queue_cancellation_exact() {
-    for case in 0..CASES {
-        let mut r = SimRng::root(case).stream("queue-cancel");
-        let n = 1 + (r.next_u64() % 99) as usize;
-        let times: Vec<u64> = (0..n).map(|_| r.next_u64() % 1_000).collect();
-        let mask: Vec<bool> = (0..100).map(|_| r.chance(0.5)).collect();
-        let mut q = EventQueue::with_ctx(&SimCtx::new());
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| q.schedule(SimTime::from_nanos(t), i))
-            .collect();
-        let mut kept = Vec::new();
-        for (i, id) in ids.iter().enumerate() {
-            if mask[i % mask.len()] {
-                assert!(q.cancel(*id), "case {case}: cancel failed");
-            } else {
-                kept.push(i);
-            }
-        }
-        let mut popped = Vec::new();
-        while let Some((_, idx)) = q.pop() {
-            popped.push(idx);
-        }
-        popped.sort();
-        kept.sort();
-        assert_eq!(popped, kept, "case {case}");
-    }
-}
-
 /// BusyTracker: the merged busy time never exceeds the window, never
 /// exceeds the sum of interval lengths, and equals it when intervals
 /// are disjoint.

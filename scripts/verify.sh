@@ -34,10 +34,10 @@ echo "==> matrix digest (every experiment, quick seeds 1..=3)"
 cargo test -q --release -p mmwave-campaign --test matrix_digest
 
 echo "==> event-queue equivalence suite"
-# The event queue (binary heap, lazy tombstones, peek memo) must be
-# indistinguishable from the test-local reference model: identical pop
-# sequences, peeks, cancel results and lengths under randomized
-# schedule/cancel/pop scripts.
+# The event queue (a binary heap) must be indistinguishable from the
+# test-local reference model (a Vec scanned for its earliest entry):
+# identical pop sequences, peeks and lengths under randomized
+# schedule/pop/peek scripts.
 cargo test -q --release -p mmwave-sim --test queue_equivalence
 
 echo "==> image-tree equivalence suite"
@@ -125,6 +125,30 @@ if [[ -n "$violations" ]]; then
     exit 1
 fi
 
+echo "==> forbidden-pattern gate (per-process-seeded hashing)"
+# std's HashMap and HashSet seed their hasher afresh in every process, so
+# anything that iterates one (or sums floats in its order) can differ
+# from run to run: in hash-order tie-breaks and in the last bits of a
+# sum. Library code uses mmwave_sim::hash's unkeyed FastMap/FastSet for
+# lookups and a Vec for anything it iterates. Code after a file's first
+# #[cfg(test)] and comments are exempt.
+violations=$(find crates/*/src -name '*.rs' -not -path crates/sim/src/hash.rs | sort \
+    | xargs awk '
+        FNR == 1 { live = 1 }
+        /#\[cfg\(test\)\]/ { live = 0 }
+        {
+            code = $0
+            sub(/\/\/.*/, "", code)
+            if (live && code ~ /Hash(Map|Set)/)
+                print FILENAME ":" FNR ": " $0
+        }')
+if [[ -n "$violations" ]]; then
+    echo "std HashMap/HashSet in library code (use mmwave_sim::hash::FastMap/FastSet,"
+    echo "or a Vec where order matters):"
+    echo "$violations"
+    exit 1
+fi
+
 echo "==> forbidden-pattern gate (link budget)"
 # Received power has one home: mmwave_channel::propagate's per-path term,
 # multipath sum and cached-gain tail. Library code reads the budget's
@@ -162,7 +186,7 @@ echo "==> forbidden-pattern gate (ad-hoc event queues)"
 # mmwave_sim::queue::EventQueue (heap backed, model-verified). A
 # BinaryHeap reappearing in the MAC or transport crates means a
 # datapath grew its own scheduler around the abstraction — and with it
-# its own tie-break rules, cancellation semantics, and counters.
+# its own tie-break rules and counters.
 violations=$(grep -rn 'BinaryHeap' crates/transport crates/mac --include='*.rs' \
     | grep -vE ':[0-9]+:\s*//' || true)
 if [[ -n "$violations" ]]; then
