@@ -195,8 +195,9 @@ struct TableEntry {
 ///
 /// The cache is device-representation-agnostic: callers pass explicit
 /// device indices (stable within one scenario), node poses and pattern
-/// references per call. See the module docs for the memoization and
-/// invalidation scheme.
+/// ids per call, and the patterns themselves when a gain must be
+/// computed. See the module docs for the memoization and invalidation
+/// scheme.
 #[derive(Clone, Debug)]
 pub struct LinkGainCache {
     mode: CacheMode,
@@ -284,26 +285,28 @@ impl LinkGainCache {
     }
 
     /// Total linear pattern-weighted link gain from `src` (transmitting
-    /// with `src_pattern`, identified by `src_pat`) to `dst` (receiving
-    /// with `dst_pattern` / `dst_pat`), and its dB form (`NEG_INFINITY` for
-    /// a dead link). The linear gain is `0.0` when no propagation path
-    /// exists; multiply it by linear tx power and chain losses — or add
-    /// their dB equivalents to the dB form — to get received power. The
-    /// conversion is memoized with the gain entry, so the warm path costs
-    /// no `log10` — the value is bit-identical to converting the linear
-    /// gain fresh.
+    /// with the pattern identified by `src_pat`) to `dst` (receiving with
+    /// `dst_pat`), and its dB form (`NEG_INFINITY` for a dead link). The
+    /// linear gain is `0.0` when no propagation path exists; multiply it
+    /// by linear tx power and chain losses — or add their dB equivalents
+    /// to the dB form — to get received power. The conversion is memoized
+    /// with the gain entry, so the warm path costs no `log10` — the value
+    /// is bit-identical to converting the linear gain fresh.
+    ///
+    /// `patterns` returns the `(src, dst)` antenna patterns the ids
+    /// denote. It is called only to compute a gain: on a miss, or on any
+    /// lookup in [`CacheMode::Bypass`]. A warm hit needs the ids alone.
     #[allow(clippy::too_many_arguments)]
-    pub fn link_gain_lin_db(
+    pub fn link_gain_lin_db<'p>(
         &mut self,
         env: &Environment,
         src: &RadioNode,
         src_idx: usize,
         src_pat: PatId,
-        src_pattern: &AntennaPattern,
         dst: &RadioNode,
         dst_idx: usize,
         dst_pat: PatId,
-        dst_pattern: &AntennaPattern,
+        patterns: impl FnOnce() -> (&'p AntennaPattern, &'p AntennaPattern),
     ) -> (f64, f64) {
         debug_assert_ne!(src_idx, dst_idx, "self-link has no radiometric meaning");
         self.ensure_device(src_idx.max(dst_idx));
@@ -347,6 +350,7 @@ impl LinkGainCache {
 
         let (lo_orient, hi_orient) = (self.orient_gen[lo], self.orient_gen[hi]);
         let entry = self.pairs.get_mut(&(lo, hi)).expect("pair interned above");
+        let (src_pattern, dst_pattern) = patterns();
         let (lo_pat, hi_pat) = if src_is_lo {
             (src_pattern, dst_pattern)
         } else {
@@ -695,30 +699,14 @@ mod tests {
         let pa = pat(18.0, 12.0);
         let pb = pat(14.0, 20.0);
         let fwd = cache
-            .link_gain_lin_db(
-                &env,
-                &nodes[0],
-                0,
-                PatId(0),
-                &pa,
-                &nodes[1],
-                1,
-                PatId(1),
-                &pb,
-            )
+            .link_gain_lin_db(&env, &nodes[0], 0, PatId(0), &nodes[1], 1, PatId(1), || {
+                (&pa, &pb)
+            })
             .0;
         let rev = cache
-            .link_gain_lin_db(
-                &env,
-                &nodes[1],
-                1,
-                PatId(1),
-                &pb,
-                &nodes[0],
-                0,
-                PatId(0),
-                &pa,
-            )
+            .link_gain_lin_db(&env, &nodes[1], 1, PatId(1), &nodes[0], 0, PatId(0), || {
+                (&pb, &pa)
+            })
             .0;
         let reference = brute_force(&env, &nodes[0], &pa, &nodes[1], &pb);
         assert!(
@@ -738,10 +726,14 @@ mod tests {
         let p = pat(16.0, 15.0);
         let q = pat(10.0, 30.0);
         let first = cache
-            .link_gain_lin_db(&env, &nodes[0], 0, PatId(3), &p, &nodes[2], 2, PatId(7), &q)
+            .link_gain_lin_db(&env, &nodes[0], 0, PatId(3), &nodes[2], 2, PatId(7), || {
+                (&p, &q)
+            })
             .0;
         let second = cache
-            .link_gain_lin_db(&env, &nodes[0], 0, PatId(3), &p, &nodes[2], 2, PatId(7), &q)
+            .link_gain_lin_db(&env, &nodes[0], 0, PatId(3), &nodes[2], 2, PatId(7), || {
+                (&p, &q)
+            })
             .0;
         assert_eq!(first.to_bits(), second.to_bits());
         let s = cache.stats();
@@ -752,13 +744,45 @@ mod tests {
     }
 
     #[test]
+    fn a_warm_hit_never_reads_the_patterns() {
+        let (env, nodes) = scene();
+        let p = pat(16.0, 15.0);
+        let mut cache = LinkGainCache::with_ctx(&SimCtx::new());
+        let (a, b) = (&nodes[0], &nodes[1]);
+        let cold = cache.link_gain_lin_db(&env, a, 0, PatId(2), b, 1, PatId(5), || (&p, &p));
+        let warm = cache.link_gain_lin_db(&env, a, 0, PatId(2), b, 1, PatId(5), || {
+            panic!("patterns read on a warm hit")
+        });
+        assert_eq!(cold.0.to_bits(), warm.0.to_bits());
+        assert_eq!((cache.stats().gain_misses, cache.stats().gain_hits), (1, 1));
+    }
+
+    #[test]
+    fn bypass_reads_the_patterns_on_every_lookup() {
+        let (env, nodes) = scene();
+        let p = pat(16.0, 15.0);
+        let mut cache = LinkGainCache::with_ctx(&SimCtx::with_cache_mode(CacheMode::Bypass));
+        let mut reads = 0;
+        for _ in 0..3 {
+            cache.link_gain_lin_db(&env, &nodes[0], 0, PatId(2), &nodes[1], 1, PatId(5), || {
+                reads += 1;
+                (&p, &p)
+            });
+        }
+        assert_eq!(reads, 3);
+        assert_eq!(cache.stats().gain_hits, 2);
+    }
+
+    #[test]
     fn rotation_invalidates_only_touching_pairs_and_keeps_paths() {
         let (env, nodes) = scene();
         let mut cache = LinkGainCache::with_ctx(&SimCtx::new());
         let p = pat(16.0, 15.0);
         // Warm all three pairs.
         for (s, d) in [(0usize, 1usize), (0, 2), (1, 2)] {
-            cache.link_gain_lin_db(&env, &nodes[s], s, PatId(0), &p, &nodes[d], d, PatId(0), &p);
+            cache.link_gain_lin_db(&env, &nodes[s], s, PatId(0), &nodes[d], d, PatId(0), || {
+                (&p, &p)
+            });
         }
         assert_eq!(cache.stats().path_traces, 3);
         assert_eq!(cache.stats().gain_misses, 3);
@@ -769,11 +793,17 @@ mod tests {
         rotated.orientation = rotated.orientation + Angle::from_degrees(40.0);
         let before = cache.stats();
         let stale = cache
-            .link_gain_lin_db(&env, &rotated, 0, PatId(0), &p, &nodes[1], 1, PatId(0), &p)
+            .link_gain_lin_db(&env, &rotated, 0, PatId(0), &nodes[1], 1, PatId(0), || {
+                (&p, &p)
+            })
             .0;
-        cache.link_gain_lin_db(&env, &rotated, 0, PatId(0), &p, &nodes[2], 2, PatId(0), &p);
+        cache.link_gain_lin_db(&env, &rotated, 0, PatId(0), &nodes[2], 2, PatId(0), || {
+            (&p, &p)
+        });
         let fresh_pair = cache
-            .link_gain_lin_db(&env, &nodes[1], 1, PatId(0), &p, &nodes[2], 2, PatId(0), &p)
+            .link_gain_lin_db(&env, &nodes[1], 1, PatId(0), &nodes[2], 2, PatId(0), || {
+                (&p, &p)
+            })
             .0;
         let after = cache.stats();
         // Pairs touching device 0 recomputed; the (1,2) pair was a pure hit.
@@ -793,16 +823,24 @@ mod tests {
         let mut cache = LinkGainCache::with_ctx(&SimCtx::new());
         let p = pat(16.0, 15.0);
         for (s, d) in [(0usize, 1usize), (0, 2), (1, 2)] {
-            cache.link_gain_lin_db(&env, &nodes[s], s, PatId(0), &p, &nodes[d], d, PatId(0), &p);
+            cache.link_gain_lin_db(&env, &nodes[s], s, PatId(0), &nodes[d], d, PatId(0), || {
+                (&p, &p)
+            });
         }
         cache.bump_position(1);
         let mut moved = nodes[1].clone();
         moved.position = Point::new(5.8, 1.2);
         let gain = cache
-            .link_gain_lin_db(&env, &nodes[0], 0, PatId(0), &p, &moved, 1, PatId(0), &p)
+            .link_gain_lin_db(&env, &nodes[0], 0, PatId(0), &moved, 1, PatId(0), || {
+                (&p, &p)
+            })
             .0;
-        cache.link_gain_lin_db(&env, &moved, 1, PatId(0), &p, &nodes[2], 2, PatId(0), &p);
-        cache.link_gain_lin_db(&env, &nodes[0], 0, PatId(0), &p, &nodes[2], 2, PatId(0), &p);
+        cache.link_gain_lin_db(&env, &moved, 1, PatId(0), &nodes[2], 2, PatId(0), || {
+            (&p, &p)
+        });
+        cache.link_gain_lin_db(&env, &nodes[0], 0, PatId(0), &nodes[2], 2, PatId(0), || {
+            (&p, &p)
+        });
         let s = cache.stats();
         // Two pairs re-traced ((0,1) and (1,2)); (0,2) untouched.
         assert_eq!(s.path_traces, 5);
@@ -829,11 +867,10 @@ mod tests {
                             &nodes[0],
                             0,
                             PatId(0),
-                            &p,
                             &nodes[1],
                             1,
                             PatId(1),
-                            &q,
+                            || (&p, &q),
                         )
                         .0,
                 );
@@ -843,7 +880,7 @@ mod tests {
             rot.orientation = rot.orientation + Angle::from_degrees(-15.0);
             out.push(
                 cache
-                    .link_gain_lin_db(&env, &nodes[0], 0, PatId(0), &p, &rot, 1, PatId(1), &q)
+                    .link_gain_lin_db(&env, &nodes[0], 0, PatId(0), &rot, 1, PatId(1), || (&p, &q))
                     .0,
             );
             (out, cache.stats())
@@ -936,7 +973,9 @@ mod tests {
         let mut cache = LinkGainCache::with_ctx(&ctx);
         let p = pat(16.0, 15.0);
         for _ in 0..2 {
-            cache.link_gain_lin_db(&env, &nodes[0], 0, PatId(0), &p, &nodes[1], 1, PatId(0), &p);
+            cache.link_gain_lin_db(&env, &nodes[0], 0, PatId(0), &nodes[1], 1, PatId(0), || {
+                (&p, &p)
+            });
         }
         cache.bump_orientation(0);
         let c = ctx.counters();
@@ -953,7 +992,7 @@ mod tests {
         let p = AntennaPattern::isotropic(0.0);
         let mut cache = LinkGainCache::with_ctx(&SimCtx::new());
         let g = cache
-            .link_gain_lin_db(&env, &a, 0, PatId(0), &p, &b, 1, PatId(0), &p)
+            .link_gain_lin_db(&env, &a, 0, PatId(0), &b, 1, PatId(0), || (&p, &p))
             .0;
         assert!(g > 0.0);
         assert!(

@@ -58,6 +58,7 @@ fn build_net(ctx: &SimCtx, seed: u64, quick: bool) -> (Net, usize, usize, SimTim
     room.set_wall_enabled(walker, false);
 
     let mut net = Net::with_ctx(Environment::new(room), cfg, ctx);
+    net.txlog_mut().set_enabled(false);
     let dock = net.add_device(Device::wigig_dock(
         ctx,
         "Dock",

@@ -43,6 +43,7 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
     room.set_wall_enabled(walker, false);
 
     let mut net = Net::with_ctx(Environment::new(room), cfg, ctx);
+    net.txlog_mut().set_enabled(false);
     let dock = net.add_device(Device::wigig_dock(
         ctx,
         "Dock",

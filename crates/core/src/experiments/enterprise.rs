@@ -87,6 +87,7 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
         }
     }
     let mut net = Net::with_ctx(Environment::new(room), cfg, ctx);
+    net.txlog_mut().set_enabled(false);
 
     // --- stations -------------------------------------------------------
     let mut links: Vec<(usize, usize)> = Vec::new(); // (dock, laptop)

@@ -31,11 +31,11 @@ fn run_distance(ctx: &SimCtx, distance_m: f64, seed: u64, minutes: u64) -> RateT
             ..NetConfig::default()
         }, // fading ON: Fig. 12 needs it
     );
+    p.net.txlog_mut().set_enabled(false);
     let mut samples = Vec::new();
     let mut labels: Vec<String> = Vec::new();
     let step_s = 10u64;
     for k in 0..=(minutes * 60 / step_s) {
-        p.net.txlog_mut().clear(); // long idle run: keep memory flat
         p.net.run_until(SimTime::from_secs(k * step_s));
         let w = p.net.device(p.dock).wigig().expect("wigig");
         let (rate, label) = if w.state == mmwave_mac::device::WigigState::Associated {

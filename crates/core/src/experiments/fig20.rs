@@ -54,13 +54,14 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
     }
 
     // --- TCP throughput over the reflection ---
-    let b2 = blocked_los_link(
+    let mut b2 = blocked_los_link(
         ctx,
         NetConfig {
             seed: seed + 1,
             ..cfg.clone()
         },
     );
+    b2.net.txlog_mut().set_enabled(false);
     let mut stack = Stack::new(b2.net);
     // Download direction (dock → laptop), the docking station's main use.
     let flow = stack.add_flow(TcpConfig::bulk(b2.dock, b2.laptop, 256 * 1024));
@@ -71,7 +72,7 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
         .mean_goodput_mbps(SimTime::from_millis(300), end);
 
     // Line-of-sight reference at the same distance.
-    let p = point_to_point(
+    let mut p = point_to_point(
         ctx,
         4.8,
         NetConfig {
@@ -79,6 +80,7 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
             ..cfg
         },
     );
+    p.net.txlog_mut().set_enabled(false);
     let mut los_stack = Stack::new(p.net);
     let los_flow = los_stack.add_flow(TcpConfig::bulk(p.dock, p.laptop, 256 * 1024));
     los_stack.run_until(end);

@@ -235,11 +235,10 @@ impl Medium {
             &sd.node,
             src,
             sd.pat_id(src_pat),
-            sd.pattern(src_pat),
             &dd.node,
             dst,
             dd.pat_id(dst_key),
-            dd.pattern(dst_key),
+            || (sd.pattern(src_pat), dd.pattern(dst_key)),
         );
         gain_rx_dbm(env, lin, db, sd.tx_power_offset_db, extra_power_db)
     }

@@ -296,11 +296,14 @@ pub struct Net {
     offsets_scratch: Vec<f64>,
     /// Spent MPDU buffers of data PPDUs, reused by the next PPDU.
     pub(crate) mpdu_pool: MpduPool,
-    /// Memoized `Mcs::per` evaluations keyed bit-exactly on
-    /// `(mcs, sinr, bits, noise floor)`. On a static link every data frame
-    /// evaluates the waterfall at identical inputs, so this trades two
-    /// libm calls per frame for a short linear scan. Exact keys mean the
-    /// cached value is exactly what a fresh evaluation would return.
+    /// Memoized `Mcs::per` evaluations on the waterfall, keyed
+    /// bit-exactly on `(mcs, sinr, bits, noise floor)`. On a static link
+    /// every data frame evaluates the waterfall at identical inputs, so
+    /// this trades two libm calls per frame for a short linear scan.
+    /// Exact keys mean the cached value is exactly what a fresh evaluation
+    /// would return. Saturated PERs (`Mcs::saturated_per`) never enter it:
+    /// they cost less than the scan, and the beacons' 32 quasi-omni
+    /// patterns would cycle them through every slot.
     per_memo: Vec<((u8, u64, u64, u64), f64)>,
     /// Memoized noise terms keyed on the bits of the environment's noise
     /// floor: `(dbm_bits, noise_lin, lin_to_db(noise_lin))`. The
@@ -1029,14 +1032,19 @@ impl Net {
         (lin, db)
     }
 
-    /// `Mcs::per` behind a bit-exact memo (see the `per_memo` field).
+    /// `Mcs::per`, behind a bit-exact memo (see the `per_memo` field)
+    /// where it does not saturate.
     fn cached_per(&mut self, mcs_idx: u8, sinr_db: f64, bits: u64) -> f64 {
         let noise = self.env.noise_floor_dbm();
+        let mcs = self.mcs_table.get(mcs_idx);
+        if let Some(p) = mcs.saturated_per(sinr_db, noise) {
+            return p;
+        }
         let key = (mcs_idx, sinr_db.to_bits(), bits, noise.to_bits());
         if let Some(&(_, p)) = self.per_memo.iter().find(|(k, _)| *k == key) {
             return p;
         }
-        let p = self.mcs_table.get(mcs_idx).per(sinr_db, bits, noise);
+        let p = mcs.per(sinr_db, bits, noise);
         // A handful of live keys (one per frame shape per link); evict the
         // oldest once a changing scene pushes past that.
         if self.per_memo.len() >= 8 {
@@ -1208,6 +1216,33 @@ mod tests {
             sub.frame().kind,
             FrameKind::DiscoverySub { pattern_idx: 5 }
         ));
+    }
+
+    #[test]
+    fn saturated_pers_leave_the_waterfall_memo_alone() {
+        let ctx = SimCtx::new();
+        let mut net = Net::with_ctx(
+            Environment::new(Room::open_space()),
+            NetConfig::default(),
+            &ctx,
+        );
+        let noise = net.env.noise_floor_dbm();
+        let centre = |mcs: u8| McsTable::ieee_802_11ad().get(mcs).snr_threshold_db(noise) + 0.5;
+        let waterfall = net.cached_per(8, centre(8), 12_000);
+        assert!(0.0 < waterfall && waterfall < 1.0);
+        // Beacons through 32 quasi-omni patterns: distinct SINRs, each far
+        // above or far below the control PHY's waterfall.
+        for i in 0..64 {
+            let offset_db = 10.0 + i as f64 / 8.0;
+            let (sinr, expected) = if i % 2 == 0 {
+                (centre(0) + offset_db, 0.0)
+            } else {
+                (centre(0) - offset_db, 1.0)
+            };
+            assert_eq!(net.cached_per(0, sinr, 300), expected);
+        }
+        let key = (8, centre(8).to_bits(), 12_000, noise.to_bits());
+        assert_eq!(net.per_memo, [(key, waterfall)]);
     }
 
     #[test]

@@ -78,29 +78,48 @@ impl Mcs {
     /// makes longer (aggregated) frames slightly more fragile, as in
     /// reality.
     pub fn per(&self, sinr_db: f64, bits: u64, noise_floor_dbm: f64) -> f64 {
+        per_at(self.waterfall_x(sinr_db, noise_floor_dbm), bits)
+    }
+
+    /// [`Mcs::per`] where it saturates to exactly 0 or 1, which it then
+    /// does for every frame length; `None` on the waterfall (and for a
+    /// NaN SINR). A caller can skip a memo of waterfall values on `Some`.
+    pub fn saturated_per(&self, sinr_db: f64, noise_floor_dbm: f64) -> Option<f64> {
+        saturated_per_at(self.waterfall_x(sinr_db, noise_floor_dbm))
+    }
+
+    /// The waterfall coordinate `x = (sinr − thr) / 0.25` of [`Mcs::per`].
+    fn waterfall_x(&self, sinr_db: f64, noise_floor_dbm: f64) -> f64 {
         let thr = self.snr_threshold_db(noise_floor_dbm) + 0.5;
-        per_at((sinr_db - thr) / 0.25, bits)
+        (sinr_db - thr) / 0.25
     }
 }
 
 /// Beyond this waterfall coordinate the logistic saturates exactly in
-/// `f64` (see [`per_at`]).
+/// `f64` (see [`saturated_per_at`]).
 const PER_SATURATION_X: f64 = 38.0;
 
-/// [`Mcs::per`] at waterfall coordinate `x = (sinr − thr) / 0.25`.
-///
-/// Far from the threshold the result is exact without `exp`/`powf`. For
-/// `x > 38`, `p_ref < 2⁻⁵⁴`, so `1 − p_ref` rounds to 1 and the PER is
-/// exactly 0. For `x < −38`, `1 + eˣ` rounds to 1, so `p_ref` is 1 and
-/// the PER is exactly 1. Both already hold from about |x| ≈ 37.5. Most
-/// evaluations land there: beacons through a quasi-omni pattern are
-/// either far above or far below threshold. NaN takes the full formula.
-fn per_at(x: f64, bits: u64) -> f64 {
+/// The PER at waterfall coordinate `x` if it is exact without
+/// `exp`/`powf`, for any frame length. For `x > 38`, `p_ref < 2⁻⁵⁴`, so
+/// `1 − p_ref` rounds to 1 and the PER is exactly 0. For `x < −38`,
+/// `1 + eˣ` rounds to 1, so `p_ref` is 1 and the PER is exactly 1. Both
+/// already hold from about |x| ≈ 37.5. Most evaluations land there:
+/// beacons through a quasi-omni pattern are either far above or far
+/// below threshold. NaN takes the full formula.
+fn saturated_per_at(x: f64) -> Option<f64> {
     if x > PER_SATURATION_X {
-        return 0.0;
+        Some(0.0)
+    } else if x < -PER_SATURATION_X {
+        Some(1.0)
+    } else {
+        None
     }
-    if x < -PER_SATURATION_X {
-        return 1.0;
+}
+
+/// [`Mcs::per`] at waterfall coordinate `x = (sinr − thr) / 0.25`.
+fn per_at(x: f64, bits: u64) -> f64 {
+    if let Some(p) = saturated_per_at(x) {
+        return p;
     }
     let p_ref = 1.0 / (1.0 + x.exp());
     // p_ref is calibrated for a 1500-byte MPDU; scale with length.
@@ -233,6 +252,34 @@ mod tests {
         }
         assert_eq!(per_at(outward(edge), 12_000), 0.0);
         assert_eq!(per_at(outward(-edge), 12_000), 1.0);
+    }
+
+    #[test]
+    fn saturated_per_is_the_per_of_every_frame_length() {
+        let t = McsTable::ieee_802_11ad();
+        for idx in 0..=t.max_index() {
+            let m = t.get(idx);
+            // SINR at waterfall coordinate x, as `Mcs::per` maps it back.
+            let at = |x: f64| m.snr_threshold_db(NOISE) + 0.5 + 0.25 * x;
+            let mut sinrs: Vec<f64> = (-40 * 16..=40 * 16).map(|i| at(i as f64 / 16.0)).collect();
+            sinrs.extend([at(38.0), at(-38.0), f64::NAN]);
+            for &sinr in &sinrs {
+                let Some(p) = m.saturated_per(sinr, NOISE) else {
+                    continue;
+                };
+                for bits in [1u64, 300, 12_000, 1_000_000] {
+                    assert_eq!(
+                        m.per(sinr, bits, NOISE).to_bits(),
+                        p.to_bits(),
+                        "MCS {idx}, SINR {sinr} dB, {bits} bits"
+                    );
+                }
+            }
+            assert_eq!(m.saturated_per(at(39.0), NOISE), Some(0.0));
+            assert_eq!(m.saturated_per(at(-39.0), NOISE), Some(1.0));
+            assert_eq!(m.saturated_per(at(0.0), NOISE), None);
+            assert_eq!(m.saturated_per(f64::NAN, NOISE), None);
+        }
     }
 
     #[test]

@@ -1,15 +1,16 @@
-//! Differential test: `EventQueue` (a binary heap) must pop a
-//! byte-identical event order to a plain reference model on randomized
-//! workloads.
+//! Differential test: `EventQueue` (a front slot ahead of a binary
+//! heap) must pop a byte-identical event order to a plain reference
+//! model on randomized workloads.
 //!
 //! The model below is the queue's contract written the obvious way, and
 //! it shares no code with `BinaryHeap`: a `Vec` of `(at, seq, payload)`
 //! entries with sequential `seq`, scanned for the minimum `(at, seq)` on
 //! every pop and peek. This suite drives the queue and the model with
 //! identical schedule/pop/peek interleavings — including equal-timestamp
-//! bursts and timestamps from nanoseconds to 2⁵⁰ ns apart — and requires
-//! the full observable transcript (pop results, peek times, lengths) to
-//! match exactly.
+//! bursts, timestamps from nanoseconds to 2⁵⁰ ns apart, and the shallow
+//! MAC-shaped traffic that exercises the queue's front slot — and
+//! requires the full observable transcript (pop results, peek times,
+//! lengths) to match exactly.
 
 use mmwave_sim::ctx::SimCtx;
 use mmwave_sim::queue::EventQueue;
@@ -181,4 +182,38 @@ fn equal_timestamp_bursts_match() {
     }
     pair.len();
     pair.drain();
+}
+
+#[test]
+fn shallow_mac_shaped_workloads_match() {
+    // The MAC's shape: 0–4 pending events, most scheduled a few µs after
+    // the last pop (a frame end, a SIFS reply), some tying with or landing
+    // before the earliest pending one, one far beacon tick now and then,
+    // and pops that often empty the queue.
+    for seed in 0..8u64 {
+        let mut rng = SimRng::root(0xEE22_0000 + seed);
+        let mut pair = Pair::new();
+        let mut now = 0u64;
+        let mut payload = 0u64;
+        for _ in 0..20_000 {
+            let depth = pair.model.entries.len();
+            if depth == 0 || (depth < 4 && rng.next_u64() % 2 == 0) {
+                let front = pair.model.peek_time().map(|t| t.as_nanos());
+                let at = match (rng.next_u64() % 8, front) {
+                    (0, Some(f)) => f,
+                    (1, Some(f)) => f.saturating_sub(rng.next_u64() % 3_000).max(now),
+                    (2, _) => now + 1_100_000,
+                    _ => now + rng.next_u64() % 5_000,
+                };
+                pair.schedule(SimTime::from_nanos(at), payload);
+                payload += 1;
+            } else if rng.next_u64() % 32 == 0 {
+                pair.peek();
+                pair.len();
+            } else if let Some((at, _)) = pair.pop() {
+                now = at.as_nanos();
+            }
+        }
+        pair.drain();
+    }
 }
