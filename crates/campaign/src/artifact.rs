@@ -9,8 +9,8 @@
 //!
 //! Everything except *execution metadata* is a pure function of the
 //! campaign matrix, so artifacts produced with different `--jobs` values
-//! (or `--workers` process counts, or a `--resume` rerun) are
-//! byte-identical after [`normalize_execution`]. Execution metadata is
+//! (or by a `--resume` rerun) are byte-identical after
+//! [`normalize_execution`]. Execution metadata is
 //! exactly: every `wall_ms` field, the manifest's `jobs` / `workers` /
 //! `tasks_resumed` / `chunks_streamed` fields, and every `chunk_hash`
 //! (which hashes on-disk chunk bytes — wall time included — so it is
@@ -34,12 +34,11 @@
 //!   `engine.codebook_prebuilt_hits` counter for cache misses resolved
 //!   from the campaign-wide prebuilt codebook pool; v8 added the
 //!   `engine.spatial_pruned_pairs` / `engine.spatial_zone_invalidations`
-//!   interference-graph counters; v9 rides the process-sharded control
-//!   plane: run reports double as the streamed artifact *chunks* the
-//!   control plane appends incrementally and the worker protocol carries
-//!   verbatim — the fields are unchanged, the engine block is now encoded
-//!   and decoded through [`EngineCounters::FIELDS`] so the wire
-//!   marshalling cannot drift from the schema; v10 removed
+//!   interference-graph counters; v9 made run reports double as the
+//!   streamed artifact *chunks* the control plane appends incrementally
+//!   — the fields are unchanged, the engine block is now encoded and
+//!   decoded through [`EngineCounters::FIELDS`] so the marshalling
+//!   cannot drift from the schema; v10 removed
 //!   `engine.events_cancelled` with the event queue's cancellation, so
 //!   superseded MAC timeouts now count in `engine.events_popped`)
 
@@ -86,8 +85,8 @@ pub fn run_to_json(r: &RunRecord) -> Json {
         ("wall_ms", Json::Num(r.wall_ms)),
         (
             "engine",
-            // Encoded from the counter field table so the schema, the wire
-            // protocol, and the struct can never disagree on field set or
+            // Encoded from the counter field table so the schema, the
+            // decoder and the struct can never disagree on field set or
             // order.
             Json::Obj(
                 r.engine
@@ -224,8 +223,8 @@ pub fn manifest_to_json(result: &CampaignResult) -> Json {
 /// `wall_ms` field, the `jobs` / `workers` / `tasks_resumed` /
 /// `chunks_streamed` scheduling fields, and every `chunk_hash` (it hashes
 /// chunk bytes that include a wall time). After this, artifacts from the
-/// same matrix are byte-identical regardless of worker count, process
-/// sharding, or how many tasks a `--resume` rerun skipped.
+/// same matrix are byte-identical regardless of job count or how many
+/// tasks a `--resume` rerun skipped.
 pub fn normalize_execution(v: &mut Json) {
     match v {
         Json::Obj(fields) => {

@@ -1,15 +1,12 @@
 //! Campaign CLI: run the experiment × seed matrix on a worker pool.
 //!
 //! ```text
-//! campaign [--jobs N] [--workers N] [--resume] [--seeds A..B | --seeds N]
+//! campaign [--jobs N] [--resume] [--seeds A..B | --seeds N]
 //!          [--quick] [--out DIR] [--cc ALG] [--prune MODE]
 //!          [--format table|report|json] [--list] [all | <id> ...]
-//! campaign worker
 //! ```
 //!
-//! * `--jobs N`    worker threads (default: one per core)
-//! * `--workers N` shard across N `campaign worker` subprocesses instead
-//!   of in-process threads (artifact bytes are identical either way)
+//! * `--jobs N`    worker threads (default: one per core, at most 1,024)
 //! * `--resume`    skip tasks whose artifact chunk already exists and
 //!   hashes clean against `<out>/campaign.manifest` (requires `--out`)
 //! * `--seeds A..B` half-open seed range (`--seeds 1..5` = seeds 1,2,3,4,
@@ -31,13 +28,7 @@
 //! The `table` footer also counts the campaign's shared results (e.g.
 //! `shared results: 8 computed, 24 reused` for the Figs. 9–11 sweep
 //! consumers at 8 seeds): how often a task computed a sub-result other
-//! tasks reuse, and how often one was reused. The counts cover the
-//! in-process pool only; with `--workers N` each worker subprocess holds
-//! its own pool and keeps its own counts, so the line is left out.
-//!
-//! `campaign worker` is the subprocess datapath the control plane spawns
-//! for `--workers N`: it executes framed tasks from stdin onto stdout
-//! (see `mmwave_campaign::proto`) and is not meant for interactive use.
+//! tasks reuse, and how often one was reused.
 //!
 //! Exit status: 0 if every run passed, 1 if any run failed its shape
 //! checks or panicked (the campaign always completes — a panicking
@@ -45,13 +36,12 @@
 //! usage errors.
 
 use mmwave_campaign::control::{self, ControlOpts};
-use mmwave_campaign::{artifact, worker, CampaignConfig, CampaignResult, RunStatus};
+use mmwave_campaign::{artifact, CampaignConfig, CampaignResult, RunStatus};
 use mmwave_core::experiments::{self, Experiment};
 use mmwave_sim::shared::SharedStats;
 
 struct Cli {
     jobs: usize,
-    workers: usize,
     resume: bool,
     seeds: Vec<u64>,
     quick: bool,
@@ -78,6 +68,14 @@ enum Format {
 /// allocation failure.
 const MAX_SEEDS: u64 = 65_536;
 
+/// Most `--jobs` threads accepted. Each job is an OS thread, and a
+/// campaign starts one per pending task up to `--jobs`, so with
+/// `MAX_SEEDS` seeds per experiment a typo could ask for hundreds of
+/// thousands of threads; the first spawn the host refuses would abort
+/// the campaign. Past the core count more threads only share the same
+/// cores, so the cap sits well above any host's.
+const MAX_JOBS: usize = 1_024;
+
 fn parse_seeds(spec: &str) -> Result<Vec<u64>, String> {
     if let Some((a, b)) = spec.split_once("..") {
         let a: u64 = a
@@ -103,7 +101,6 @@ fn parse_seeds(spec: &str) -> Result<Vec<u64>, String> {
 fn parse_args() -> Result<Cli, String> {
     let mut cli = Cli {
         jobs: 0,
-        workers: 0,
         resume: false,
         seeds: vec![1],
         quick: false,
@@ -122,10 +119,9 @@ fn parse_args() -> Result<Cli, String> {
             "--jobs" => {
                 let v = args.next().ok_or("--jobs needs a value")?;
                 cli.jobs = v.parse().map_err(|_| format!("bad job count: {v}"))?;
-            }
-            "--workers" => {
-                let v = args.next().ok_or("--workers needs a value")?;
-                cli.workers = v.parse().map_err(|_| format!("bad worker count: {v}"))?;
+                if cli.jobs > MAX_JOBS {
+                    return Err(format!("--jobs {v} is over the cap of {MAX_JOBS} threads"));
+                }
             }
             "--resume" => cli.resume = true,
             "--seeds" => {
@@ -143,11 +139,10 @@ fn parse_args() -> Result<Cli, String> {
             }
             "--prune" => {
                 let v = args.next().ok_or("--prune needs a mode (enforce|audit)")?;
-                cli.prune = Some(match v.as_str() {
-                    "enforce" => mmwave_channel::PruneMode::Enforce,
-                    "audit" => mmwave_channel::PruneMode::Audit,
-                    _ => return Err(format!("unknown prune mode: {v}")),
-                });
+                cli.prune = Some(
+                    mmwave_channel::PruneMode::parse(&v)
+                        .ok_or_else(|| format!("unknown prune mode: {v}"))?,
+                );
             }
             "--out" => {
                 cli.out_dir = Some(args.next().ok_or("--out needs a directory")?);
@@ -186,16 +181,11 @@ fn select(ids: &[String]) -> Result<Vec<&'static Experiment>, String> {
 }
 
 fn main() {
-    // The worker datapath: not a campaign invocation at all, just the
-    // stdio task loop the control plane drives.
-    if std::env::args().nth(1).as_deref() == Some("worker") {
-        std::process::exit(worker::worker_main());
-    }
     let cli = match parse_args() {
         Ok(c) => c,
         Err(e) => {
             eprintln!(
-                "{e}\nusage: campaign [--jobs N] [--workers N] [--resume] [--seeds A..B] [--quick] [--cc ALG] [--prune MODE] [--out DIR] [--format table|report|json] [--list] [all | <id> ...]"
+                "{e}\nusage: campaign [--jobs N] [--resume] [--seeds A..B] [--quick] [--cc ALG] [--prune MODE] [--out DIR] [--format table|report|json] [--list] [all | <id> ...]"
             );
             std::process::exit(2);
         }
@@ -223,11 +213,7 @@ fn main() {
         cc: cli.cc,
         prune: cli.prune,
     };
-    let opts = ControlOpts {
-        workers: cli.workers,
-        resume: cli.resume,
-        ..ControlOpts::default()
-    };
+    let opts = ControlOpts { resume: cli.resume };
     let out = cli.out_dir.as_deref().map(std::path::Path::new);
     let summary = match control::run(&cfg, out, &opts) {
         Ok(summary) => summary,
@@ -295,12 +281,10 @@ fn print_table(result: &CampaignResult, shared: &SharedStats) {
         shape_failed,
         panicked
     );
-    if result.workers == 0 {
-        println!(
-            "shared results: {} computed, {} reused",
-            shared.computed, shared.reused
-        );
-    }
+    println!(
+        "shared results: {} computed, {} reused",
+        shared.computed, shared.reused
+    );
 }
 
 fn print_report(result: &CampaignResult) {

@@ -1,21 +1,16 @@
 //! The campaign control plane: the one campaign loop.
 //!
-//! [`run`] does the whole job of a campaign, in two layers:
+//! [`run`] plans the task matrix, runs it through two pieces, and merges
+//! the records back into matrix order:
 //!
-//! * **Control plane** (this module, in the parent process): plans the
-//!   task matrix, decides what a `--resume` can skip, streams tasks to
-//!   workers, and merges the records back into matrix order. Given an
-//!   output directory it appends each task's artifact **chunk**
-//!   (`runs/<id>-s<seed>.json`) plus a [`crate::manifest`] ledger line
-//!   the moment the task completes, instead of buffering the whole
-//!   campaign; without one it does no I/O of its own.
-//! * **Worker datapath**: either the in-process thread pool
-//!   (`workers == 0`, `runner::ThreadPool`) or `workers` subprocesses
-//!   (`campaign worker`) driven over stdio pipes with the
-//!   [`crate::proto`] framing. Each task runs on a private `SimCtx`
-//!   either way, so artifact bytes are a pure function of the task — the
-//!   process-sharded-vs-in-process equivalence suite diffs the two
-//!   datapaths byte for byte.
+//! * **Ledger** ([`crate::manifest`]): decides which cells a `--resume`
+//!   can skip. Given an output directory, each task's artifact **chunk**
+//!   (`runs/<id>-s<seed>.json`) and then its ledger line are written the
+//!   moment the task completes, instead of buffering the whole campaign;
+//!   without one the control plane does no I/O of its own.
+//! * **In-process pool** (`runner::ThreadPool`): executes the pending
+//!   tasks on `--jobs` threads, each task on a private `SimCtx`, so
+//!   artifact bytes are a pure function of the task.
 //!
 //! Crash-recovery invariants (tested in `tests/resume.rs`):
 //!
@@ -32,39 +27,27 @@
 //!    clean (one read per chunk) with the same codec that wrote them, and
 //!    the codec round-trips exactly.
 //!
-//! Worker-process failure is contained the same way experiment panics
-//! are: a task whose worker died mid-frame is retried once on a
-//! respawned worker, then surfaced as a `panicked` record, so the
-//! campaign always completes with one record per matrix cell.
+//! Crash containment: an experiment panic is caught by the pool and
+//! becomes a `panicked` record, so the campaign completes with one record
+//! per matrix cell. A death of the process itself (an abort, a kill, an
+//! out-of-memory) ends the campaign, and invariant 1 makes a `--resume`
+//! rerun recover every cell that completed before it.
 
-use std::collections::VecDeque;
-use std::io::{self, BufReader};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::manifest::{self, ChunkEntry, Manifest, ManifestWriter};
-use crate::proto::{self, Msg};
-use crate::{artifact, runner, CampaignConfig, CampaignResult, RunRecord, RunStatus, TaskSpec};
-use mmwave_sim::shared::{SharedResults, SharedStats};
+use crate::{artifact, runner, CampaignConfig, CampaignResult, RunRecord, TaskSpec};
+use mmwave_sim::shared::SharedStats;
 
 /// Execution knobs for the control plane.
 #[derive(Clone, Debug, Default)]
 pub struct ControlOpts {
-    /// Worker *processes* to shard across. `0` keeps the datapath
-    /// in-process (the `cfg.jobs` thread pool). Sharding needs no output
-    /// directory: records come back over the pipes either way.
-    pub workers: usize,
     /// Skip tasks whose chunk already exists and hashes clean against the
     /// manifest (requires a matching matrix fingerprint). Without an
     /// output directory there is no manifest, so nothing is skipped.
     pub resume: bool,
-    /// Command line that starts one worker process. Empty means "this
-    /// executable with the single argument `worker`" — what the `campaign`
-    /// CLI wants. Tests point it at `env!("CARGO_BIN_EXE_campaign")`.
-    pub worker_cmd: Vec<String>,
 }
 
 /// What a campaign did, beyond the [`CampaignResult`] itself.
@@ -80,9 +63,7 @@ pub struct ControlSummary {
     /// `(experiment, seed)` cells actually executed this invocation, in
     /// matrix order.
     pub executed: Vec<(String, u64)>,
-    /// Fills and reuses of the in-process pool's shared results. Zero
-    /// with `workers > 0`: each worker subprocess holds its own pool and
-    /// keeps its own counts.
+    /// Fills and reuses of the pool's shared results.
     pub shared: SharedStats,
 }
 
@@ -115,11 +96,7 @@ pub fn run(
 
     // Dispatch the pending tasks, streaming each completed record into
     // its chunk + ledger line as it arrives (invariant 1).
-    let pool = if opts.workers == 0 {
-        runner::ThreadPool::spawn(pending, jobs)
-    } else {
-        spawn_worker_procs(pending, opts)?
-    };
+    let pool = runner::ThreadPool::spawn(pending, jobs);
     for (key, record) in pool.records.iter() {
         if let Some((out, ledger)) = ledger.as_mut() {
             let rel = artifact::run_artifact_name(&record.experiment, record.seed);
@@ -157,7 +134,7 @@ pub fn run(
         seeds: cfg.seeds.clone(),
         quick: cfg.quick,
         jobs,
-        workers: opts.workers,
+        workers: 0,
         tasks_resumed,
         chunks_streamed,
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
@@ -242,36 +219,6 @@ fn open_ledger(
     Ok((resumed, pending, ledger))
 }
 
-/// Start one thread per worker process, each feeding its worker from a
-/// shared LPT-ordered queue of `pending`. No more threads start than
-/// there are tasks: an extra one would find the queue empty at once.
-fn spawn_worker_procs(
-    pending: Vec<TaskSpec>,
-    opts: &ControlOpts,
-) -> io::Result<runner::ThreadPool> {
-    let (rec_tx, records) = mpsc::channel::<Keyed>();
-    let procs = opts.workers.min(pending.len());
-    let queue = Arc::new(Mutex::new(plan_queue(pending)));
-    let worker_cmd = resolve_worker_cmd(&opts.worker_cmd)?;
-    let mut handles = Vec::with_capacity(procs);
-    for w in 0..procs {
-        let queue = Arc::clone(&queue);
-        let tx = rec_tx.clone();
-        let cmd = worker_cmd.clone();
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("campaign-dispatch-{w}"))
-                .spawn(move || drive_worker(&cmd, &queue, &tx))
-                .expect("spawn worker dispatch thread"),
-        );
-    }
-    Ok(runner::ThreadPool {
-        records,
-        handles,
-        shared: Arc::new(SharedResults::default()),
-    })
-}
-
 fn sorted_keys(records: &[Keyed]) -> Vec<(String, u64)> {
     let mut keyed: Vec<_> = records.iter().collect();
     keyed.sort_by_key(|(key, _)| *key);
@@ -279,159 +226,4 @@ fn sorted_keys(records: &[Keyed]) -> Vec<(String, u64)> {
         .into_iter()
         .map(|(_, r)| (r.experiment.clone(), r.seed))
         .collect()
-}
-
-/// One queued dispatch: the task plus how often it already failed on a
-/// dying worker.
-struct QueuedTask {
-    task: TaskSpec,
-    retries: u32,
-}
-
-fn plan_queue(mut pending: Vec<TaskSpec>) -> VecDeque<QueuedTask> {
-    // Same LPT order the in-process pool uses.
-    pending.sort_by_key(|t| std::cmp::Reverse(t.exp.cost));
-    pending
-        .into_iter()
-        .map(|task| QueuedTask { task, retries: 0 })
-        .collect()
-}
-
-fn resolve_worker_cmd(configured: &[String]) -> io::Result<Vec<String>> {
-    if !configured.is_empty() {
-        return Ok(configured.to_vec());
-    }
-    let exe = std::env::current_exe()?;
-    Ok(vec![exe.to_string_lossy().into_owned(), "worker".into()])
-}
-
-fn spawn_worker(cmd: &[String]) -> io::Result<Child> {
-    Command::new(&cmd[0])
-        .args(&cmd[1..])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        // stderr stays attached: worker diagnostics surface on the
-        // campaign's own stderr.
-        .spawn()
-}
-
-/// Drive one worker process from the shared queue until the queue is
-/// empty. Protocol failures (worker killed, torn frame) requeue the
-/// in-flight task once and respawn the worker; a task that kills two
-/// workers is reported as a `panicked` record so the campaign still
-/// completes with a full matrix.
-fn drive_worker(cmd: &[String], queue: &Mutex<VecDeque<QueuedTask>>, tx: &mpsc::Sender<Keyed>) {
-    let mut worker: Option<(Child, BufReader<std::process::ChildStdout>)> = None;
-    loop {
-        let Some(queued) = queue.lock().expect("task queue lock").pop_front() else {
-            break;
-        };
-        let task = queued.task;
-        // (Re)spawn lazily: a driver that never gets a task never forks.
-        if worker.is_none() {
-            match spawn_worker(cmd) {
-                Ok(mut child) => {
-                    let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
-                    worker = Some((child, stdout));
-                }
-                Err(e) => {
-                    // Cannot shard at all from this driver (bad worker
-                    // command, fork limit): fail the task explicitly
-                    // rather than stalling the campaign.
-                    report_failure(tx, &task, &format!("cannot spawn worker: {e}"));
-                    continue;
-                }
-            }
-        }
-        let (child, stdout) = worker.as_mut().expect("worker just ensured");
-        match exchange(child, stdout, &task) {
-            Ok(record) => {
-                if tx.send(((task.exp_index, task.seed), record)).is_err() {
-                    break; // collector gone; stop cleanly
-                }
-            }
-            Err(e) => {
-                // The worker is in an unknown state: discard it and either
-                // retry the task on a fresh one or give up on the task.
-                let (mut child, _) = worker.take().expect("worker present");
-                let _ = child.kill();
-                let _ = child.wait();
-                if queued.retries == 0 {
-                    queue
-                        .lock()
-                        .expect("task queue lock")
-                        .push_back(QueuedTask { task, retries: 1 });
-                } else {
-                    report_failure(tx, &task, &format!("worker protocol failure: {e}"));
-                }
-            }
-        }
-    }
-    if let Some((mut child, _)) = worker {
-        let mut stdin = child.stdin.take();
-        if let Some(w) = stdin.as_mut() {
-            let _ = proto::write_msg(w, &Msg::Done);
-        }
-        drop(stdin); // EOF, in case the DONE write failed
-        let _ = child.wait();
-    }
-}
-
-/// Send one task, wait for its result.
-fn exchange(
-    child: &mut Child,
-    stdout: &mut BufReader<std::process::ChildStdout>,
-    task: &TaskSpec,
-) -> io::Result<RunRecord> {
-    let stdin = child
-        .stdin
-        .as_mut()
-        .ok_or_else(|| io::Error::other("worker stdin closed"))?;
-    proto::write_msg(stdin, &Msg::Task(*task))?;
-    match proto::read_msg(stdout)? {
-        Some(Msg::Result(record)) => Ok(*record),
-        Some(other) => Err(io::Error::other(format!("expected RESULT, got {other:?}"))),
-        None => Err(io::Error::other("worker exited before replying")),
-    }
-}
-
-/// Synthesize the record for a task no worker could complete. Shaped like
-/// an experiment panic — status `panicked`, message in `panic_message` —
-/// because that is exactly what it is from the campaign's perspective:
-/// one cell failed, the matrix completed.
-fn report_failure(tx: &mpsc::Sender<Keyed>, task: &TaskSpec, message: &str) {
-    let record = RunRecord {
-        experiment: task.exp.id.to_string(),
-        title: task.exp.title.to_string(),
-        seed: task.seed,
-        quick: task.quick,
-        scenario: task.exp.scenario.to_string(),
-        status: RunStatus::Panicked,
-        violations: Vec::new(),
-        output: String::new(),
-        panic_message: Some(message.to_string()),
-        wall_ms: 0.0,
-        engine: Default::default(),
-    };
-    let _ = tx.send(((task.exp_index, task.seed), record));
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn worker_dispatch_starts_no_more_threads_than_tasks() {
-        let one_task = CampaignConfig::all(true, vec![1], 1).tasks()[..1].to_vec();
-        let opts = ControlOpts {
-            workers: 64,
-            // Never starts: the one dispatch thread fails its task at spawn.
-            worker_cmd: vec!["/nonexistent/campaign-worker".into()],
-            ..ControlOpts::default()
-        };
-        let pool = spawn_worker_procs(one_task, &opts).expect("dispatch starts");
-        assert_eq!(pool.handles.len(), 1);
-        assert_eq!(pool.records.iter().count(), 1, "the failed task reports");
-        pool.join();
-    }
 }

@@ -18,14 +18,14 @@
 //!   needs escaping (`"`, `\`, or a control byte below 0x20) in one
 //!   `push_str`. Every delimiter is ASCII, so run boundaries always fall
 //!   on char boundaries and no per-character UTF-8 work is needed. Chunk
-//!   decode on `--resume`, worker `RESULT` frames and the summary render
-//!   all cost time proportional to their size.
+//!   encode, chunk decode on `--resume` and the summary render all cost
+//!   time proportional to their size.
 //! * **Bounded nesting** — the decoder recurses once per array/object
 //!   level, so an input like a million `[` would overflow the stack and
 //!   abort the process. Nesting deeper than `MAX_DEPTH` (64) levels is a
 //!   [`JsonError`] at the offending bracket instead. Everything this
-//!   workspace writes (artifacts, wire frames, `BENCH_kernels.json`)
-//!   nests three deep.
+//!   workspace writes (artifacts, `BENCH_kernels.json`) nests three
+//!   deep.
 
 use std::fmt::Write as _;
 

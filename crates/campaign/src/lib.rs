@@ -11,8 +11,7 @@
 //! * **One loop** — [`control::run`] is the only campaign loop. It plans
 //!   the matrix, dispatches it to a `std::thread` pool (tasks flow through
 //!   an mpsc channel that idle workers pull from, heaviest cost tier
-//!   first) or to `campaign worker` subprocesses speaking the [`proto`]
-//!   stdio framing, and merges the records back into matrix order. Given
+//!   first), and merges the records back into matrix order. Given
 //!   an output directory it also streams each completed artifact chunk to
 //!   disk and keeps a resumable ledger ([`manifest`]) of per-chunk hashes,
 //!   so an interrupted campaign can `--resume` past every hash-clean task.
@@ -63,9 +62,7 @@ pub mod artifact;
 pub mod control;
 pub mod json;
 pub mod manifest;
-pub mod proto;
 pub mod runner;
-pub mod worker;
 
 use mmwave_core::experiments::Experiment;
 use mmwave_sim::metrics::EngineCounters;
@@ -133,9 +130,7 @@ impl CampaignConfig {
     }
 }
 
-/// One cell of the campaign matrix, and its wire form: a `TASK` frame
-/// ([`proto`]) carries the experiment by registry id plus the other
-/// fields as they are.
+/// One cell of the campaign matrix.
 #[derive(Clone, Copy, Debug)]
 pub struct TaskSpec {
     /// The experiment descriptor to run.
@@ -237,8 +232,10 @@ pub struct CampaignResult {
     pub quick: bool,
     /// Worker threads actually used (execution metadata).
     pub jobs: usize,
-    /// Worker *processes* the control plane sharded across; 0 when the
-    /// datapath stayed in-process (execution metadata).
+    /// Always 0: every campaign runs on the in-process thread pool. The
+    /// field and the manifest's `"workers"` key stay so that the
+    /// manifest schema and the callers that build a `CampaignResult`
+    /// literal are unchanged (execution metadata).
     pub workers: usize,
     /// Tasks skipped by `--resume` because their chunk verified hash-clean
     /// against the manifest (execution metadata).

@@ -54,9 +54,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Fingerprint of a planned task matrix: everything that determines the
-/// artifact bytes of every task, in matrix order. Wall-clock knobs (jobs,
-/// workers) are deliberately excluded — a resume may use a different
-/// worker count.
+/// artifact bytes of every task, in matrix order. The job count is
+/// deliberately excluded: a resume may use a different one.
 pub fn fingerprint(tasks: &[TaskSpec]) -> u64 {
     let mut desc = String::new();
     for t in tasks {

@@ -1,4 +1,4 @@
-//! The in-process datapath: the thread pool and the task executor.
+//! The campaign datapath: the thread pool and the task executor.
 //!
 //! Tasks are pre-loaded into an mpsc channel (heaviest cost tier first —
 //! longest-processing-time order) and a pool of `std::thread` workers
@@ -48,15 +48,13 @@ pub fn run(cfg: &CampaignConfig) -> CampaignResult {
 /// collection so the control plane ([`crate::control`]) can append each
 /// record's artifact chunk the moment it lands instead of waiting for the
 /// whole campaign: records arrive on [`ThreadPool::records`] in
-/// completion order, keyed by matrix cell. The control plane also builds
-/// one whose threads drive `campaign worker` subprocesses.
+/// completion order, keyed by matrix cell.
 pub(crate) struct ThreadPool {
     /// Completed records in completion (not matrix) order.
     pub(crate) records: mpsc::Receiver<((usize, u64), RunRecord)>,
-    pub(crate) handles: Vec<std::thread::JoinHandle<()>>,
-    /// The shared results the threads' tasks fill and reuse. Subprocess
-    /// workers hold their own, so this one stays empty for them.
-    pub(crate) shared: Arc<SharedResults>,
+    handles: Vec<std::thread::JoinHandle<()>>,
+    /// The shared results the threads' tasks fill and reuse.
+    shared: Arc<SharedResults>,
 }
 
 impl ThreadPool {
@@ -210,9 +208,8 @@ fn panic_payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Install (once, process-wide) a panic hook that suppresses the default
 /// stderr backtrace spam for campaign worker threads — their panics are
 /// captured into `RunRecord`s — while delegating unchanged for every other
-/// thread. (The worker subprocess loop runs its tasks on a thread named
-/// with the same prefix for the same reason.)
-pub(crate) fn silence_worker_panics() {
+/// thread.
+fn silence_worker_panics() {
     static HOOK: OnceLock<()> = OnceLock::new();
     HOOK.get_or_init(|| {
         let previous = panic::take_hook();

@@ -57,19 +57,19 @@ fn table_is_the_default_format() {
 }
 
 #[test]
-fn table_footer_leaves_out_shared_results_with_worker_subprocesses() {
-    let text = stdout_of(&["--workers", "2", "--quick", "table1"]);
-    assert!(text.contains(" panicked\n"), "footer printed: {text}");
-    assert!(!text.contains("shared results"), "{text}");
-}
-
-#[test]
 fn usage_errors_exit_2_and_print_nothing() {
     for args in [
         &["--format", "bogus", "table1"][..],
         &["no_such_experiment"],
         &["--resume", "table1"],
         &["--seeds", "0..18446744073709551615", "--list"],
+        &["--prune", "bogus", "table1"],
+        &["--cc", "bogus", "table1"],
+        // One over the binary's MAX_JOBS; with --list nothing would start.
+        &["--jobs", "1025", "--list"],
+        // There is no `--workers` flag and no `worker` subcommand.
+        &["--workers", "2", "table1"],
+        &["worker"],
     ] {
         let out = campaign(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -80,7 +80,8 @@ fn usage_errors_exit_2_and_print_nothing() {
 
 #[test]
 fn list_names_every_registered_experiment() {
-    let text = stdout_of(&["--list"]);
+    // MAX_JOBS itself is accepted.
+    let text = stdout_of(&["--jobs", "1024", "--list"]);
     for id in experiments::ids() {
         assert!(
             text.lines()

@@ -119,15 +119,8 @@ fn resume_reexecutes_only_damaged_tasks_and_converges_bytewise() {
     assert_ne!(torn_key, corrupted, "damage must hit three distinct tasks");
 
     // Resume: exactly the three damaged tasks re-execute.
-    let resumed = control::run_streaming(
-        &cfg(),
-        &damaged_dir,
-        &ControlOpts {
-            resume: true,
-            ..ControlOpts::default()
-        },
-    )
-    .expect("resumed campaign");
+    let resumed = control::run_streaming(&cfg(), &damaged_dir, &ControlOpts { resume: true })
+        .expect("resumed campaign");
     let mut expected_rerun = vec![deleted, corrupted, torn_key];
     expected_rerun.sort();
     let mut executed = resumed.executed.clone();
@@ -156,15 +149,8 @@ fn resume_with_clean_artifacts_executes_nothing() {
     assert!(first.result.all_passed());
     let want = canonical_tree(&dir);
 
-    let resumed = control::run_streaming(
-        &cfg(),
-        &dir,
-        &ControlOpts {
-            resume: true,
-            ..ControlOpts::default()
-        },
-    )
-    .expect("clean resume");
+    let resumed =
+        control::run_streaming(&cfg(), &dir, &ControlOpts { resume: true }).expect("clean resume");
     assert!(resumed.executed.is_empty(), "nothing was damaged");
     assert_eq!(resumed.resumed.len(), 8);
     assert_eq!(canonical_tree(&dir), want);
@@ -181,15 +167,8 @@ fn resume_ignores_manifests_from_a_different_matrix() {
     // nothing may be resumed even though chunk files exist.
     let mut other = cfg();
     other.seeds = vec![1];
-    let resumed = control::run_streaming(
-        &other,
-        &dir,
-        &ControlOpts {
-            resume: true,
-            ..ControlOpts::default()
-        },
-    )
-    .expect("mismatched resume");
+    let resumed = control::run_streaming(&other, &dir, &ControlOpts { resume: true })
+        .expect("mismatched resume");
     assert!(
         resumed.resumed.is_empty(),
         "fingerprint mismatch resumes nothing"

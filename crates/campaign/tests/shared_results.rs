@@ -2,23 +2,22 @@
 //! the §4.1 aggregation summary runs once per campaign seed, and sharing
 //! it changes no artifact byte.
 //!
-//! {fig09, fig10, fig11, aggr} × 8 seeds runs three ways — one thread,
-//! two threads, two `campaign worker` subprocesses — and every run
-//! artifact must equal the one the same cell produces as a one-cell
-//! campaign, where no other task could have filled the sweep.
+//! {fig09, fig10, fig11, aggr} × 8 seeds runs on one thread and on two,
+//! and every run artifact must equal the one the same cell produces as a
+//! one-cell campaign, where no other task could have filled the sweep.
 
 use mmwave_campaign::control::{self, ControlOpts, ControlSummary};
 use mmwave_campaign::{artifact, CampaignConfig};
 use mmwave_core::experiments;
 use mmwave_phy::CodebookPrebuild;
 use mmwave_sim::ctx::{CacheMode, SimCtx};
-use mmwave_sim::shared::{SharedStats, SHARED_CAP};
+use mmwave_sim::shared::SHARED_CAP;
 use std::collections::BTreeMap;
 
 const SWEEP_CONSUMERS: [&str; 4] = ["fig09", "fig10", "fig11", "aggr"];
 const SEEDS: std::ops::Range<u64> = 1..9;
 
-fn campaign(ids: &[&str], seeds: Vec<u64>, jobs: usize, opts: &ControlOpts) -> ControlSummary {
+fn campaign(ids: &[&str], seeds: Vec<u64>, jobs: usize) -> ControlSummary {
     let cfg = CampaignConfig {
         experiments: ids
             .iter()
@@ -30,7 +29,7 @@ fn campaign(ids: &[&str], seeds: Vec<u64>, jobs: usize, opts: &ControlOpts) -> C
         cc: None,
         prune: None,
     };
-    control::run(&cfg, None, opts).expect("an in-memory campaign does no I/O")
+    control::run(&cfg, None, &ControlOpts::default()).expect("an in-memory campaign does no I/O")
 }
 
 /// Canonical run artifacts by file name (the manifest depends on the
@@ -59,11 +58,10 @@ fn assert_same_artifacts(
 
 #[test]
 fn sweep_runs_once_per_seed_and_changes_no_artifact() {
-    let in_process = ControlOpts::default();
     let mut want = BTreeMap::new();
     for id in SWEEP_CONSUMERS {
         for seed in SEEDS {
-            let one = campaign(&[id], vec![seed], 1, &in_process);
+            let one = campaign(&[id], vec![seed], 1);
             assert!(one.result.all_passed(), "{id}-s{seed}");
             assert_eq!((one.shared.computed, one.shared.reused), (1, 0));
             want.extend(run_artifacts(&one));
@@ -73,7 +71,7 @@ fn sweep_runs_once_per_seed_and_changes_no_artifact() {
     let seeds: Vec<u64> = SEEDS.collect();
     for jobs in [1, 2] {
         let how = format!("--jobs {jobs}");
-        let summary = campaign(&SWEEP_CONSUMERS, seeds.clone(), jobs, &in_process);
+        let summary = campaign(&SWEEP_CONSUMERS, seeds.clone(), jobs);
         let stats = summary.shared;
         assert_eq!(
             stats.computed,
@@ -84,19 +82,6 @@ fn sweep_runs_once_per_seed_and_changes_no_artifact() {
         assert!(stats.peak_held <= SHARED_CAP, "{how}: {stats:?}");
         assert_same_artifacts(&run_artifacts(&summary), &want, &how);
     }
-
-    let sharded = ControlOpts {
-        workers: 2,
-        worker_cmd: vec![env!("CARGO_BIN_EXE_campaign").to_string(), "worker".into()],
-        ..ControlOpts::default()
-    };
-    let summary = campaign(&SWEEP_CONSUMERS, seeds, 1, &sharded);
-    assert_eq!(
-        summary.shared,
-        SharedStats::default(),
-        "worker subprocesses count into their own pools"
-    );
-    assert_same_artifacts(&run_artifacts(&summary), &want, "--workers 2");
 }
 
 #[test]

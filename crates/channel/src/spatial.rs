@@ -52,7 +52,7 @@ impl PruneMode {
         }
     }
 
-    /// Inverse of [`PruneMode::as_str`] (CLI flags, wire protocol).
+    /// Inverse of [`PruneMode::as_str`] (the `--prune` flag).
     pub fn parse(s: &str) -> Option<PruneMode> {
         match s {
             "enforce" => Some(PruneMode::Enforce),

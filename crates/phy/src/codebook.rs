@@ -105,8 +105,8 @@ const CACHE_CAP: usize = 64;
 /// them by everything the fill reads and replay the fill's counter delta
 /// on reuse, so they keep the same contract.
 ///
-/// Everything inside sits behind `Arc`s and is `Send + Sync`, so workers
-/// share one copy: clones share both halves.
+/// Everything inside sits behind `Arc`s and is `Send + Sync`, so the
+/// campaign pool's threads share one copy: clones share both halves.
 #[derive(Clone, Default)]
 pub struct CodebookPrebuild {
     entries: Arc<Vec<(CacheKey, Codebook)>>,

@@ -21,8 +21,8 @@
 //! A fresh context ([`SimCtx::new`]) shares nothing with any other.
 //!
 //! `SimCtx` is deliberately `!Send`: contexts, and the `Net`s that hold
-//! them, live and die on one thread (campaign workers build a fresh
-//! context per task on their own thread).
+//! them, live and die on one thread (each campaign pool thread builds a
+//! fresh context per task).
 
 use crate::metrics::{Counter, EngineCounters, Fold};
 use std::any::{Any, TypeId};

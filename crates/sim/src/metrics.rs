@@ -4,7 +4,7 @@
 //! Accumulation happens on an explicit [`crate::ctx::SimCtx`]: every
 //! [`crate::queue::EventQueue`] streams its counter updates into the
 //! context it was built with, and downstream caches (link gain, codebook)
-//! record through the same context. A campaign worker builds one fresh
+//! record through the same context. The campaign runner builds one fresh
 //! context per task and reads [`crate::ctx::SimCtx::counters`] after the
 //! run — the numbers a task reports depend only on that task, by
 //! construction, which keeps campaign artifacts bitwise deterministic
@@ -15,7 +15,7 @@
 //! [`Fold`] rule. The struct, the index enum, the schema field list
 //! ([`EngineCounters::FIELDS`]), name lookup, deltas and merges are all
 //! generated from that table, so adding a counter is one table entry —
-//! the context, the artifact codec and the worker wire protocol follow.
+//! the context and the artifact codec follow.
 
 use std::ops::{Index, IndexMut};
 
@@ -97,8 +97,8 @@ macro_rules! engine_counters {
 
         impl EngineCounters {
             /// Every counter's stable field name, in artifact/schema order.
-            /// The campaign artifact codec and the worker wire protocol both
-            /// iterate this list instead of hand-listing fields.
+            /// The campaign artifact codec iterates this list instead of
+            /// hand-listing fields.
             pub const FIELDS: [&'static str; Counter::COUNT] = [$(stringify!($field)),*];
         }
     };

@@ -6,8 +6,7 @@
 //! consumers at one seed. Every campaign task runs on a fresh
 //! [`SimCtx`](crate::ctx::SimCtx), so a per-context cache never sees a
 //! second consumer. [`SharedResults`] is the campaign-wide store instead:
-//! one instance per campaign (per process for `campaign worker`
-//! subprocesses). It rides in the campaign's codebook pool
+//! one instance per campaign. It rides in the campaign's codebook pool
 //! (`mmwave_phy::CodebookPrebuild`), which every task's context has
 //! installed, and is `Send + Sync` so tasks on every thread reach it.
 //!

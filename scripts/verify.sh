@@ -53,17 +53,16 @@ cargo test -q --release -p mmwave-channel --test spatial_pruning_property
 cargo test -q --release -p mmwave-campaign --test spatial_equivalence
 
 echo "==> campaign control-plane suites"
-# The worker wire protocol smoked against the real `campaign worker`
-# subprocess, crash-recovery resume (damaged chunks / torn manifest →
-# only the damaged tasks re-execute), the sharded-vs-in-process
-# equivalence (`--workers N` must emit the same artifact bytes as the
-# in-process pool), and the seeded JSON codec suite (round trips,
+# Crash-recovery resume (damaged chunks / torn manifest → only the
+# damaged tasks re-execute), then seeded suites for every parser of
+# input from outside the process: the JSON codec (round trips,
 # truncated and bit-flipped chunks never panic, a 1 MiB string decodes
-# in linear time).
-cargo test -q --release -p mmwave-campaign --test worker_protocol
+# in linear time), the resume ledger and waypoint traces (round trips;
+# truncated, bit-flipped and line-shuffled inputs never panic).
 cargo test -q --release -p mmwave-campaign --test resume
-cargo test -q --release -p mmwave-campaign --test process_equivalence
 cargo test -q --release -p mmwave-campaign --test json_fuzz
+cargo test -q --release -p mmwave-campaign --test manifest_fuzz
+cargo test -q --release -p mmwave-mac --test waypoint_fuzz
 
 echo "==> SoA kernel equivalence suites"
 # Every SoA/chunked hot path must reproduce its retained scalar
