@@ -63,9 +63,11 @@ impl ThreadPool {
     pub(crate) fn spawn(mut tasks: Vec<TaskSpec>, jobs: usize) -> ThreadPool {
         silence_worker_panics();
 
-        // Longest-processing-time dispatch: heavy tiers first. The sort is
-        // stable, so within a tier the matrix order is preserved.
-        tasks.sort_by_key(|t| std::cmp::Reverse(t.exp.cost));
+        // Longest-processing-time dispatch: heavy tiers first, and seed-major
+        // within a tier, so the consumers of one seed's shared result run
+        // together and hit the bounded pool at any seed count. The sort is
+        // stable, so within a seed the matrix order is preserved.
+        tasks.sort_by_key(|t| (std::cmp::Reverse(t.exp.cost), t.seed));
 
         // Campaign-wide pool: pay the cold sector synthesis for the
         // canonical device arrays exactly once, before any worker starts,

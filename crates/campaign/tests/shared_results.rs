@@ -2,9 +2,10 @@
 //! the §4.1 aggregation summary runs once per campaign seed, and sharing
 //! it changes no artifact byte.
 //!
-//! {fig09, fig10, fig11, aggr} × 8 seeds runs on one thread and on two,
-//! and every run artifact must equal the one the same cell produces as a
-//! one-cell campaign, where no other task could have filled the sweep.
+//! {fig09, fig10, fig11, aggr} × 9 seeds, one more than the pool holds,
+//! runs on one thread and on two, and every run artifact must equal the
+//! one the same cell produces as a one-cell campaign, where no other task
+//! could have filled the sweep.
 
 use mmwave_campaign::control::{self, ControlOpts, ControlSummary};
 use mmwave_campaign::{artifact, CampaignConfig};
@@ -15,7 +16,7 @@ use mmwave_sim::shared::SHARED_CAP;
 use std::collections::BTreeMap;
 
 const SWEEP_CONSUMERS: [&str; 4] = ["fig09", "fig10", "fig11", "aggr"];
-const SEEDS: std::ops::Range<u64> = 1..9;
+const SEEDS: std::ops::Range<u64> = 1..10;
 
 fn campaign(ids: &[&str], seeds: Vec<u64>, jobs: usize) -> ControlSummary {
     let cfg = CampaignConfig {

@@ -44,7 +44,7 @@ pub fn measure_profile(
         combos[slot].1 += (e.end - e.start).as_secs_f64();
         // Control-PHY frames carry the boost; a (src, pattern) combo is
         // only ever used by one class in practice, so last-write wins.
-        combos[slot].2 = net.config().extra_power_db(e.class);
+        combos[slot].2 = e.class.extra_power_db();
     }
     let total_time: f64 = combos.iter().map(|&(_, t, _)| t).sum();
     // Per combination: (arrival azimuth, linear power *without* the horn

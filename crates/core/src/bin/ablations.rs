@@ -129,26 +129,17 @@ fn ablate_aggregation() {
             &rows,
         )
     );
-    println!("→ §5: aggregation buys channel time, not just throughput — the\n   un-aggregated link burns the medium other nodes would need.\n");
+    println!("→ §5: on this link aggregation buys throughput, not channel time:\n   the 1-MPDU cap loses goodput with the medium about as busy, so it\n   spends more channel time per delivered bit.\n");
 }
 
 fn ablate_cs_threshold() {
     let mut rows = Vec::new();
     for thr in [-60.0, -68.0, -76.0] {
-        let mut f = scenarios::interference_floor(
-            &SimCtx::new(),
-            0.8,
-            Angle::ZERO,
-            NetConfig {
-                seed: 33,
-                enable_fading: false,
-                params: mmwave_mac::MacParams {
-                    cs_threshold_dbm: thr,
-                    ..mmwave_mac::MacParams::default()
-                },
-                ..NetConfig::default()
-            },
-        );
+        let mut f = scenarios::interference_floor(&SimCtx::new(), 0.8, Angle::ZERO, quiet(33));
+        // On every device, as a network-wide threshold applies.
+        for d in 0..f.net.device_count() {
+            f.net.device_mut(d).cs_threshold_dbm = thr;
+        }
         let (db, lb) = (f.dock_b, f.laptop_b);
         f.net.txlog_mut().set_enabled(false);
         let mut stack = Stack::new(f.net);
@@ -178,7 +169,7 @@ fn ablate_cs_threshold() {
             &rows,
         )
     );
-    println!("→ §5: no single MAC behaviour fits all beam patterns — deaf carrier\n   sensing trades deferrals for collisions.\n");
+    println!("→ §5: \"implement multiple MAC behaviors and choose the one which is\n   most suitable\" — the threshold moves goodput, and next to this\n   interferer the deafest one wins: −60 dBm sees more retransmissions and\n   more deferrals than −76 dBm, yet delivers the most.\n");
 }
 
 fn ablate_reflection_order() {

@@ -78,7 +78,7 @@ pub fn apply_to_device(net: &mut Net, dev: usize) -> Option<MacBehavior> {
         assess(pattern)
     };
     let behavior = choose(&assessment);
-    net.device_mut(dev).cs_threshold_override_dbm = Some(behavior.cs_threshold_dbm());
+    net.device_mut(dev).cs_threshold_dbm = behavior.cs_threshold_dbm();
     Some(behavior)
 }
 
@@ -105,8 +105,8 @@ mod tests {
         let choice = apply_to_device(&mut p.net, p.dock).expect("wigig device");
         assert_eq!(choice, MacBehavior::AggressiveReuse);
         assert_eq!(
-            p.net.device(p.dock).cs_threshold_override_dbm,
-            Some(MacBehavior::AggressiveReuse.cs_threshold_dbm())
+            p.net.device(p.dock).cs_threshold_dbm,
+            MacBehavior::AggressiveReuse.cs_threshold_dbm()
         );
     }
 
@@ -147,8 +147,7 @@ mod tests {
         let run = |behavior: MacBehavior| {
             let mut f =
                 interference_floor(&SimCtx::new(), 1.5, Angle::from_degrees(50.0), quiet(5));
-            f.net.device_mut(f.dock_b).cs_threshold_override_dbm =
-                Some(behavior.cs_threshold_dbm());
+            f.net.device_mut(f.dock_b).cs_threshold_dbm = behavior.cs_threshold_dbm();
             for i in 0..800u64 {
                 f.net.push_mpdu(f.dock_b, 1500, i);
                 f.net.push_mpdu(f.dock_a, 1500, 100_000 + i);

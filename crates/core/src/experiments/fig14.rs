@@ -26,7 +26,6 @@ pub fn run(ctx: &SimCtx, quick: bool, seed: u64) -> RunReport {
             seed,
             enable_fading: false, // static environment: only realignments act
             enable_perturbations: true,
-            ..NetConfig::default()
         },
     );
     p.net.txlog_mut().set_enabled(false);

@@ -93,7 +93,7 @@ fn frame_power_dbm(net: &Net, tap: &TapConfig, e: &TxLogEntry, paths: &[PropPath
         LinkEnd::new(e.src_orientation, dev.pattern(e.pattern)),
         LinkEnd::new(tap.orientation, &tap.receiver.antenna),
         dev.tx_power_offset_db,
-        net.config().extra_power_db(e.class),
+        e.class.extra_power_db(),
     )
 }
 

@@ -1,13 +1,13 @@
 //! Devices: a radio node plus its personality.
 
 use crate::frame::Mpdu;
-use crate::params::{WigigConfig, WihdConfig};
+use crate::params::{
+    WigigConfig, CS_THRESHOLD_DBM, CW_MIN, WIGIG_TX_POWER_OFFSET_DB, WIHD_TX_POWER_OFFSET_DB,
+};
 use crate::stats::DevStats;
 use mmwave_channel::RadioNode;
 use mmwave_geom::{Angle, Point};
-use mmwave_phy::{
-    AntennaPattern, ArrayConfig, Codebook, PhasedArray, RateAdapter, RateAdapterConfig,
-};
+use mmwave_phy::{AntennaPattern, ArrayConfig, Codebook, PhasedArray, RateAdapter};
 use mmwave_sim::ctx::SimCtx;
 use mmwave_sim::time::SimTime;
 use std::collections::VecDeque;
@@ -56,7 +56,7 @@ pub struct AwaitingAck {
 /// State of a WiGig (D5000 / laptop) device.
 #[derive(Debug)]
 pub struct WigigDev {
-    /// Policy knobs.
+    /// Dock or laptop policy.
     pub cfg: WigigConfig,
     /// Dock or station.
     pub role: WigigRole,
@@ -117,8 +117,8 @@ impl WigigDev {
             tx_sector: 0,
             queue: VecDeque::new(),
             oldest_wait_start: SimTime::ZERO,
-            adapter: RateAdapter::new(RateAdapterConfig::default()),
-            cw: 16,
+            adapter: RateAdapter::new(),
+            cw: CW_MIN,
             retry: 0,
             in_txop: false,
             txop_start: SimTime::ZERO,
@@ -145,8 +145,6 @@ pub enum WihdRole {
 /// State of a WiHD (DVDO Air-3c) device.
 #[derive(Debug)]
 pub struct WihdDev {
-    /// Policy knobs.
-    pub cfg: WihdConfig,
     /// Source or sink.
     pub role: WihdRole,
     /// Beam codebook (notably wide patterns).
@@ -169,10 +167,9 @@ pub struct WihdDev {
 }
 
 impl WihdDev {
-    fn new(ctx: &SimCtx, cfg: WihdConfig, role: WihdRole, array_seed: u64) -> WihdDev {
+    fn new(ctx: &SimCtx, role: WihdRole, array_seed: u64) -> WihdDev {
         let array = PhasedArray::new(ArrayConfig::wihd_24(array_seed));
         WihdDev {
-            cfg,
             role,
             codebook: Codebook::directional_default(ctx, &array),
             peer: None,
@@ -203,11 +200,14 @@ pub struct Device {
     /// Position and orientation.
     pub node: RadioNode,
     /// Conducted-power offset relative to the environment budget, dB.
+    /// Starts at its kind's constant (`WIGIG_TX_POWER_OFFSET_DB` or
+    /// `WIHD_TX_POWER_OFFSET_DB`); power control and per-unit spread
+    /// adjust it.
     pub tx_power_offset_db: f64,
-    /// Per-device carrier-sense threshold override (dBm). `None` uses the
-    /// network-wide `MacParams::cs_threshold_dbm`. The §5 MAC-behaviour
-    /// switching prototype sets this per device.
-    pub cs_threshold_override_dbm: Option<f64>,
+    /// Carrier-sense threshold this device operates with, dBm. Starts at
+    /// [`CS_THRESHOLD_DBM`]; the §5 MAC-behaviour switching prototype sets
+    /// it per device.
+    pub cs_threshold_dbm: f64,
     /// Personality and protocol state.
     pub kind: DevKind,
     /// Counters.
@@ -215,10 +215,20 @@ pub struct Device {
 }
 
 impl Device {
-    /// The carrier-sense threshold this device operates with: its
-    /// override, else the network's `default_dbm`.
-    pub(crate) fn cs_threshold_dbm(&self, default_dbm: f64) -> f64 {
-        self.cs_threshold_override_dbm.unwrap_or(default_dbm)
+    fn new(
+        label: &str,
+        pos: Point,
+        facing: Angle,
+        tx_power_offset_db: f64,
+        kind: DevKind,
+    ) -> Device {
+        Device {
+            node: RadioNode::new(0, label, pos, facing),
+            tx_power_offset_db,
+            cs_threshold_dbm: CS_THRESHOLD_DBM,
+            kind,
+            stats: DevStats::default(),
+        }
     }
 
     /// A docking station (canonical array seed `mmwave_phy::calib::DOCK_SEED`
@@ -230,18 +240,9 @@ impl Device {
         facing: Angle,
         array_seed: u64,
     ) -> Device {
-        Device {
-            node: RadioNode::new(0, label, pos, facing),
-            tx_power_offset_db: WigigConfig::dock().tx_power_offset_db,
-            cs_threshold_override_dbm: None,
-            kind: DevKind::Wigig(Box::new(WigigDev::new(
-                ctx,
-                WigigConfig::dock(),
-                WigigRole::Dock,
-                array_seed,
-            ))),
-            stats: DevStats::default(),
-        }
+        let dev = WigigDev::new(ctx, WigigConfig::dock(), WigigRole::Dock, array_seed);
+        let kind = DevKind::Wigig(Box::new(dev));
+        Device::new(label, pos, facing, WIGIG_TX_POWER_OFFSET_DB, kind)
     }
 
     /// A laptop station (canonical array seed
@@ -253,18 +254,9 @@ impl Device {
         facing: Angle,
         array_seed: u64,
     ) -> Device {
-        Device {
-            node: RadioNode::new(0, label, pos, facing),
-            tx_power_offset_db: WigigConfig::laptop().tx_power_offset_db,
-            cs_threshold_override_dbm: None,
-            kind: DevKind::Wigig(Box::new(WigigDev::new(
-                ctx,
-                WigigConfig::laptop(),
-                WigigRole::Station,
-                array_seed,
-            ))),
-            stats: DevStats::default(),
-        }
+        let dev = WigigDev::new(ctx, WigigConfig::laptop(), WigigRole::Station, array_seed);
+        let kind = DevKind::Wigig(Box::new(dev));
+        Device::new(label, pos, facing, WIGIG_TX_POWER_OFFSET_DB, kind)
     }
 
     /// A WiHD video source (canonical seed `mmwave_phy::calib::WIHD_TX_SEED`).
@@ -275,19 +267,8 @@ impl Device {
         facing: Angle,
         array_seed: u64,
     ) -> Device {
-        let cfg = WihdConfig::default();
-        Device {
-            node: RadioNode::new(0, label, pos, facing),
-            tx_power_offset_db: cfg.tx_power_offset_db,
-            cs_threshold_override_dbm: None,
-            kind: DevKind::Wihd(Box::new(WihdDev::new(
-                ctx,
-                cfg,
-                WihdRole::Source,
-                array_seed,
-            ))),
-            stats: DevStats::default(),
-        }
+        let kind = DevKind::Wihd(Box::new(WihdDev::new(ctx, WihdRole::Source, array_seed)));
+        Device::new(label, pos, facing, WIHD_TX_POWER_OFFSET_DB, kind)
     }
 
     /// A WiHD video sink (canonical seed `mmwave_phy::calib::WIHD_RX_SEED`).
@@ -298,14 +279,8 @@ impl Device {
         facing: Angle,
         array_seed: u64,
     ) -> Device {
-        let cfg = WihdConfig::default();
-        Device {
-            node: RadioNode::new(0, label, pos, facing),
-            tx_power_offset_db: cfg.tx_power_offset_db,
-            cs_threshold_override_dbm: None,
-            kind: DevKind::Wihd(Box::new(WihdDev::new(ctx, cfg, WihdRole::Sink, array_seed))),
-            stats: DevStats::default(),
-        }
+        let kind = DevKind::Wihd(Box::new(WihdDev::new(ctx, WihdRole::Sink, array_seed)));
+        Device::new(label, pos, facing, WIHD_TX_POWER_OFFSET_DB, kind)
     }
 
     /// Resolve a pattern key against this device's codebooks.

@@ -6,7 +6,9 @@
 //! the frame's rate, which is what makes the ~5 µs single-MPDU /
 //! 15–25 µs aggregated split of Fig. 9 fall out of MCS arithmetic.
 
-use crate::params::MacParams;
+use crate::params::{
+    CONTROL_PHY_OVERHEAD, DATA_PHY_OVERHEAD, MPDU_OVERHEAD_BYTES, WIHD_PHY_RATE_BPS,
+};
 use mmwave_sim::time::SimDuration;
 
 /// One MPDU queued for transmission: an opaque payload with a transport
@@ -50,6 +52,19 @@ impl FrameClass {
             self,
             Self::Beacon | Self::DiscoverySub | Self::Training | Self::WihdBeacon
         )
+    }
+
+    /// Transmit power of a frame of this class over its device's data
+    /// power, dB: the control-PHY classes carry [`CONTROL_POWER_OFFSET_DB`],
+    /// the rest nothing. `Net::start_tx` applies it to every frame it
+    /// sends, and analyses that recompute a logged frame's power read it
+    /// here.
+    pub fn extra_power_db(self) -> f64 {
+        if self.uses_control_phy() {
+            CONTROL_POWER_OFFSET_DB
+        } else {
+            0.0
+        }
     }
 
     /// Stable numeric tag for capture-trace ground truth.
@@ -136,57 +151,52 @@ pub struct Frame {
 pub const CONTROL_PHY_BPS: u64 = 27_500_000;
 /// MCS-1 rate used for RTS/CTS/ACK (robust short frames).
 pub const BASE_RATE_BPS: u64 = 385_000_000;
+/// Power boost of control/beacon/discovery frames over data frames, dB
+/// (§3.2: control frames are "transmitted with higher power"). Read only
+/// through [`FrameClass::extra_power_db`].
+pub const CONTROL_POWER_OFFSET_DB: f64 = 6.0;
 
 /// Airtime of a data PPDU with `mpdus` aggregated MPDUs at `rate_bps`.
-pub fn data_airtime(params: &MacParams, mpdus: &[Mpdu], rate_bps: u64) -> SimDuration {
-    let bits: u64 = mpdus
-        .iter()
-        .map(|m| (m.bytes + params.mpdu_overhead_bytes) as u64 * 8)
-        .sum();
-    params.data_phy_overhead + SimDuration::for_bits(bits, rate_bps)
+pub fn data_airtime(mpdus: &[Mpdu], rate_bps: u64) -> SimDuration {
+    DATA_PHY_OVERHEAD + SimDuration::for_bits(data_bits(mpdus), rate_bps)
 }
 
-/// Airtime of each frame kind.
-pub fn airtime(params: &MacParams, kind: &FrameKind, wigig_sub_dur: SimDuration) -> SimDuration {
+/// Airtime of each frame kind; a discovery sub-element lasts its
+/// device's `discovery_sub_dur`.
+pub fn airtime(kind: &FrameKind, discovery_sub_dur: SimDuration) -> SimDuration {
     match kind {
-        FrameKind::Beacon => {
-            params.control_phy_overhead + SimDuration::for_bits(30 * 8, CONTROL_PHY_BPS)
-        }
-        FrameKind::DiscoverySub { .. } => wigig_sub_dur,
-        FrameKind::Rts => params.data_phy_overhead + SimDuration::for_bits(20 * 8, BASE_RATE_BPS),
-        FrameKind::Cts => params.data_phy_overhead + SimDuration::for_bits(16 * 8, BASE_RATE_BPS),
+        FrameKind::Beacon => CONTROL_PHY_OVERHEAD + SimDuration::for_bits(30 * 8, CONTROL_PHY_BPS),
+        FrameKind::DiscoverySub { .. } => discovery_sub_dur,
+        FrameKind::Rts => DATA_PHY_OVERHEAD + SimDuration::for_bits(20 * 8, BASE_RATE_BPS),
+        FrameKind::Cts => DATA_PHY_OVERHEAD + SimDuration::for_bits(16 * 8, BASE_RATE_BPS),
         FrameKind::Data { mpdus, mcs, .. } => {
             let rate = mmwave_phy::McsTable::ieee_802_11ad().get(*mcs).rate_bps;
-            data_airtime(params, mpdus, rate)
+            data_airtime(mpdus, rate)
         }
-        FrameKind::Ack => params.data_phy_overhead + SimDuration::for_bits(14 * 8, BASE_RATE_BPS),
+        FrameKind::Ack => DATA_PHY_OVERHEAD + SimDuration::for_bits(14 * 8, BASE_RATE_BPS),
         FrameKind::WihdBeacon => {
-            params.control_phy_overhead + SimDuration::for_bits(24 * 8, CONTROL_PHY_BPS)
+            CONTROL_PHY_OVERHEAD + SimDuration::for_bits(24 * 8, CONTROL_PHY_BPS)
         }
         FrameKind::WihdData { bytes } => {
-            params.data_phy_overhead + SimDuration::for_bits(*bytes as u64 * 8, 1_925_000_000)
+            DATA_PHY_OVERHEAD + SimDuration::for_bits(*bytes as u64 * 8, WIHD_PHY_RATE_BPS)
         }
         FrameKind::Training => {
-            params.control_phy_overhead + SimDuration::for_bits(25 * 8, CONTROL_PHY_BPS)
+            CONTROL_PHY_OVERHEAD + SimDuration::for_bits(25 * 8, CONTROL_PHY_BPS)
         }
     }
 }
 
 /// Total bits a data frame carries (for PER length scaling).
-pub fn data_bits(params: &MacParams, mpdus: &[Mpdu]) -> u64 {
+pub fn data_bits(mpdus: &[Mpdu]) -> u64 {
     mpdus
         .iter()
-        .map(|m| (m.bytes + params.mpdu_overhead_bytes) as u64 * 8)
+        .map(|m| (m.bytes + MPDU_OVERHEAD_BYTES) as u64 * 8)
         .sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn p() -> MacParams {
-        MacParams::default()
-    }
 
     fn mpdu_1500() -> Mpdu {
         Mpdu {
@@ -204,7 +214,7 @@ mod tests {
             mcs: 11,
             retry: 0,
         };
-        let d = airtime(&p(), &kind, SimDuration::from_micros(30));
+        let d = airtime(&kind, SimDuration::from_micros(30));
         assert!((d.as_micros_f64() - 5.1).abs() < 0.3, "{d}");
     }
 
@@ -216,7 +226,7 @@ mod tests {
             mcs: 11,
             retry: 0,
         };
-        let d = airtime(&p(), &kind, SimDuration::from_micros(30));
+        let d = airtime(&kind, SimDuration::from_micros(30));
         assert!(d <= SimDuration::from_micros(25), "{d}");
         assert!(d > SimDuration::from_micros(20), "{d}");
     }
@@ -234,14 +244,14 @@ mod tests {
             retry: 0,
         };
         let sub = SimDuration::from_micros(30);
-        assert!(airtime(&p(), &lo, sub) > airtime(&p(), &hi, sub) * 2);
+        assert!(airtime(&lo, sub) > airtime(&hi, sub) * 2);
     }
 
     #[test]
     fn control_frames_are_short() {
         let sub = SimDuration::from_micros(30);
         for kind in [FrameKind::Rts, FrameKind::Cts, FrameKind::Ack] {
-            let d = airtime(&p(), &kind, sub);
+            let d = airtime(&kind, sub);
             assert!(d < SimDuration::from_micros(3), "{d}");
             assert!(d > SimDuration::from_micros(1));
         }
@@ -250,14 +260,13 @@ mod tests {
     #[test]
     fn beacon_duration() {
         // 30 B at 27.5 Mb/s + 3 µs ≈ 11.7 µs — prominent in the traces.
-        let d = airtime(&p(), &FrameKind::Beacon, SimDuration::from_micros(30));
+        let d = airtime(&FrameKind::Beacon, SimDuration::from_micros(30));
         assert!((d.as_micros_f64() - 11.7).abs() < 0.5, "{d}");
     }
 
     #[test]
     fn discovery_sub_uses_configured_duration() {
         let d = airtime(
-            &p(),
             &FrameKind::DiscoverySub { pattern_idx: 5 },
             SimDuration::from_micros(30),
         );
@@ -268,7 +277,6 @@ mod tests {
     fn wihd_data_at_fixed_phy_rate() {
         // 12 kB at 1.925 Gb/s ≈ 49.9 µs + 1.9 ≈ 51.8 µs.
         let d = airtime(
-            &p(),
             &FrameKind::WihdData { bytes: 12_000 },
             SimDuration::from_micros(30),
         );
@@ -298,7 +306,7 @@ mod tests {
 
     #[test]
     fn data_bits_counts_overhead() {
-        let bits = data_bits(&p(), &[mpdu_1500(), mpdu_1500()]);
+        let bits = data_bits(&[mpdu_1500(), mpdu_1500()]);
         assert_eq!(bits, 2 * (1500 + 42) * 8);
     }
 }

@@ -58,7 +58,7 @@ pub mod wihd;
 pub use device::{DevKind, Device, DeviceId, PatKey};
 pub use frame::{Frame, FrameClass, FrameKind};
 pub use net::{Delivery, Net, NetConfig};
-pub use params::{MacParams, WigigConfig, WihdConfig};
+pub use params::WigigConfig;
 pub use scenario::{FaultKind, Scenario, ScenarioEvent, WorldMutation};
 pub use stats::{DevStats, MacMeasurement};
 pub use txlog::{TxLog, TxLogEntry};

@@ -9,8 +9,9 @@
 use crate::device::{DevKind, Device, PatKey, WigigState};
 use crate::frame::{airtime, Frame, FrameClass, FrameKind, Mpdu};
 use crate::medium::Medium;
-use crate::params::MacParams;
+use crate::params::{AIFS, WIGIG_DISCOVERY_SUB_DURATION, WIHD_DISCOVERY_SUB_DURATION, WIHD_MCS};
 use crate::scenario::{FaultKind, Scenario, ScenarioEvent, WorldMutation};
+use crate::training::{self, TrainingResult};
 use crate::txlog::{TxLog, TxLogEntry};
 use crate::{wigig, wihd};
 use mmwave_channel::{multipath_rx_dbm, Ar1Fading, Environment, PerturbationProcess, RadioNode};
@@ -199,53 +200,24 @@ pub enum Delivery {
     },
 }
 
-/// Network-level configuration.
+/// Network-level configuration: what differs between experiments. The
+/// protocol's timing and policy are the constants of [`crate::params`].
 #[derive(Clone, Debug)]
 pub struct NetConfig {
     /// Root seed for all stochastic processes.
     pub seed: u64,
-    /// Shared MAC timing.
-    pub params: MacParams,
-    /// Power boost of control/beacon/discovery frames over data frames,
-    /// dB (§3.2: control frames are "transmitted with higher power").
-    pub control_power_offset_db: f64,
     /// Enable the slow AR(1) fading process on every link.
     pub enable_fading: bool,
     /// Enable the sparse perturbation process (beam-realignment trigger).
     pub enable_perturbations: bool,
-    /// Minimum SNR (dB) a WiGig link must sustain; below this the devices
-    /// drop the association instead of riding low MCS levels. The value is
-    /// the MCS-3 selection point (threshold + rate-adapter margin): the
-    /// dock's wireless-bus tunneling needs ≈ 1 Gb/s of PHY rate, so links
-    /// that cannot hold MCS 3 disconnect — reproducing §4.1's "links …
-    /// often break before the transmitter switches to rates below 1 gbps"
-    /// and the abrupt per-run throughput fall of Fig. 13.
-    pub min_link_snr_db: f64,
-}
-
-impl NetConfig {
-    /// Transmit power of a `class` frame over its device's data power, dB:
-    /// the control-PHY classes carry `control_power_offset_db`, the rest
-    /// nothing. [`Net::start_tx`] applies it to every frame it sends, and
-    /// analyses that recompute a logged frame's power read it here.
-    pub fn extra_power_db(&self, class: FrameClass) -> f64 {
-        if class.uses_control_phy() {
-            self.control_power_offset_db
-        } else {
-            0.0
-        }
-    }
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             seed: 1,
-            params: MacParams::default(),
-            control_power_offset_db: 6.0,
             enable_fading: true,
             enable_perturbations: false,
-            min_link_snr_db: 8.5,
         }
     }
 }
@@ -580,8 +552,7 @@ impl Net {
         };
         wigig::maybe_contend(self, dev, SimDuration::ZERO);
         if batch_ready {
-            let aifs = self.cfg.params.aifs();
-            self.queue.schedule(now + aifs, NetEv::TxopAttempt { dev });
+            self.queue.schedule(now + AIFS, NetEv::TxopAttempt { dev });
         }
         true
     }
@@ -792,11 +763,6 @@ impl Net {
         self.ctx.bump(Counter::SpatialZoneInvalidations);
     }
 
-    /// The network configuration.
-    pub fn config(&self) -> &NetConfig {
-        &self.cfg
-    }
-
     /// The transmission log.
     pub fn txlog(&self) -> &TxLog {
         &self.txlog
@@ -829,15 +795,36 @@ impl Net {
             .level_at(now)
     }
 
+    /// Beam-train the pair `a`–`b` over the medium's link-gain cache.
+    pub(crate) fn train_pair(&mut self, a: usize, b: usize) -> TrainingResult {
+        training::best_pair_with(
+            self.medium.link_cache_mut(),
+            &self.env,
+            &self.devices[a],
+            a,
+            &self.devices[b],
+            b,
+        )
+    }
+
+    /// SNR at `me` of the trained link from `peer` (its current sector),
+    /// with the link's fading at the current time, dB.
+    pub(crate) fn trained_snr_db(&mut self, me: usize, peer: usize) -> f64 {
+        let peer_sector = self.devices[peer].wigig().map(|w| w.tx_sector).unwrap_or(0);
+        let rx = self.medium_rx_power_dbm(peer, PatKey::Dir(peer_sector), me)
+            + self.link_offset_db(peer, me);
+        rx - self.env.noise_floor_dbm()
+    }
+
     /// Put a frame on the air now, with its class's power boost
-    /// ([`NetConfig::extra_power_db`]); returns `(tx id, end time)`.
+    /// ([`FrameClass::extra_power_db`]); returns `(tx id, end time)`.
     pub(crate) fn start_tx(&mut self, frame: Frame, pattern: PatKey) -> (u64, SimTime) {
         let src = frame.src;
         let sub_dur = match &self.devices[src].kind {
-            DevKind::Wigig(w) => w.cfg.discovery_sub_duration,
-            DevKind::Wihd(w) => w.cfg.discovery_sub_duration,
+            DevKind::Wigig(_) => WIGIG_DISCOVERY_SUB_DURATION,
+            DevKind::Wihd(_) => WIHD_DISCOVERY_SUB_DURATION,
         };
-        let dur = airtime(&self.cfg.params, &frame.kind, sub_dur);
+        let dur = airtime(&frame.kind, sub_dur);
         let start = self.now;
         let end = start + dur;
 
@@ -852,7 +839,7 @@ impl Net {
         }
 
         let class = frame.kind.class();
-        let extra_power_db = self.cfg.extra_power_db(class);
+        let extra_power_db = class.extra_power_db();
         let dst = frame.dst;
         let seq = frame.seq;
         let mcs = match &frame.kind {
@@ -958,9 +945,11 @@ impl Net {
     }
 
     fn on_tx_end(&mut self, tx_id: u64) {
-        let (devices, default_dbm) = (&self.devices, self.cfg.params.cs_threshold_dbm);
-        let cs_thr = |d: usize| devices[d].cs_threshold_dbm(default_dbm);
-        let Some(tx) = self.medium.finish_tx(tx_id, cs_thr) else {
+        let devices = &self.devices;
+        let Some(tx) = self
+            .medium
+            .finish_tx(tx_id, |d| devices[d].cs_threshold_dbm)
+        else {
             return;
         };
         // Decide delivery for addressed frames.
@@ -983,11 +972,9 @@ impl Net {
                     tx.power_at[dst] - mmwave_phy::lin_to_db(noise_lin + tx.interference_lin)
                 };
                 let (mcs_idx, bits) = match &tx.frame.kind {
-                    FrameKind::Data { mcs, mpdus, .. } => {
-                        (*mcs, crate::frame::data_bits(&self.cfg.params, mpdus))
-                    }
+                    FrameKind::Data { mcs, mpdus, .. } => (*mcs, crate::frame::data_bits(mpdus)),
                     FrameKind::Rts | FrameKind::Cts | FrameKind::Ack => (1, 200),
-                    FrameKind::WihdData { bytes } => (7, *bytes as u64 * 8),
+                    FrameKind::WihdData { bytes } => (WIHD_MCS, *bytes as u64 * 8),
                     _ => (0, 300),
                 };
                 let per = self.cached_per(mcs_idx, sinr, bits);
@@ -1088,7 +1075,7 @@ mod tests {
             enable_fading: false,
             ..NetConfig::default()
         };
-        let boost = cfg.control_power_offset_db;
+        let boost = crate::frame::CONTROL_POWER_OFFSET_DB;
         let mut net = Net::with_ctx(Environment::new(Room::open_space()), cfg, &ctx);
         let (east, west) = (Angle::ZERO, Angle::from_degrees(180.0));
         let mut add = |d: Device| net.add_device(d);
@@ -1187,7 +1174,7 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(net.config().extra_power_db(class), extra, "frame {i}");
+            assert_eq!(class.extra_power_db(), extra, "frame {i}");
             let e = *net.txlog().entries().last().expect("frame logged");
             assert_eq!(
                 (e.start, e.src, e.dst, e.class, e.seq, e.pattern),
@@ -1248,8 +1235,8 @@ mod tests {
     #[test]
     fn aifs_memory_uses_each_devices_own_threshold() {
         // A listener 11 m from the dock hears its frame at about −65 dBm:
-        // above the network's −68 dBm carrier-sense threshold, below the
-        // listener's own −60 dBm override. By its own threshold the
+        // above the default −68 dBm carrier-sense threshold, below a
+        // −60 dBm threshold set on the listener. By that threshold the
         // channel was never busy, so it is AIFS-idle the moment the frame
         // ends; with the default threshold the frame holds it for an AIFS.
         let ctx = SimCtx::new();
@@ -1257,7 +1244,6 @@ mod tests {
             enable_fading: false,
             ..NetConfig::default()
         };
-        let aifs = cfg.params.aifs();
         let mut net = Net::with_ctx(Environment::new(Room::open_space()), cfg, &ctx);
         let dock = net.add_device(Device::wigig_dock(
             &ctx,
@@ -1284,13 +1270,13 @@ mod tests {
             let heard = net.medium().energy_at(listener);
             assert!((-66.0..-64.0).contains(&heard), "{heard} dBm");
             net.run_until(end);
-            let threshold = wigig::cs_threshold(net, listener);
-            net.medium().idle_for(listener, threshold, end, aifs)
+            let threshold = net.device(listener).cs_threshold_dbm;
+            net.medium().idle_for(listener, threshold, end, AIFS)
         };
-        net.device_mut(listener).cs_threshold_override_dbm = Some(-60.0);
+        net.device_mut(listener).cs_threshold_dbm = -60.0;
         assert!(idle_at_frame_end(&mut net, 1));
         net.run_until(SimTime::from_millis(1));
-        net.device_mut(listener).cs_threshold_override_dbm = None;
+        net.device_mut(listener).cs_threshold_dbm = crate::params::CS_THRESHOLD_DBM;
         assert!(!idle_at_frame_end(&mut net, 2));
     }
 }

@@ -9,8 +9,14 @@
 
 use crate::device::{PatKey, WigigState};
 use crate::frame::{airtime, Frame, FrameKind};
+use crate::medium::ActiveTx;
 use crate::net::{DeferredFrame, DeferredKind, Delivery, Net, NetEv};
-use crate::{medium::ActiveTx, training};
+use crate::params::{
+    ACK_TIMEOUT, AIFS, CTS_GRANT_THRESHOLD_DBM, CW_AFTER_LINK_BREAK, CW_MAX, CW_MIN,
+    DATA_PHY_OVERHEAD, MAX_PPDU_DURATION, MAX_QUEUE_WAIT, MIN_LINK_SNR_DB, MPDU_OVERHEAD_BYTES,
+    RETRY_LIMIT, SIFS, SLOT, WIGIG_BEACON_INTERVAL, WIGIG_DISCOVERY_INTERVAL,
+    WIGIG_DISCOVERY_SUB_DURATION, WIGIG_DISCOVERY_SUB_ELEMENTS,
+};
 use mmwave_geom::Angle;
 use mmwave_sim::time::SimDuration;
 
@@ -33,46 +39,32 @@ const BEACON_LOSS_STREAK: u8 = 4;
 /// again.
 const LOSS_RECOVERY_BUDGET: u8 = 3;
 
-/// The carrier-sense threshold this device operates with (per-device
-/// override, else the network default).
-pub(crate) fn cs_threshold(net: &Net, dev: usize) -> f64 {
-    net.devices[dev].cs_threshold_dbm(net.cfg.params.cs_threshold_dbm)
-}
-
 // ---------------------------------------------------------------------
 // Discovery and association
 // ---------------------------------------------------------------------
 
 /// Emit one 32-sub-element discovery sweep and schedule the next tick.
 pub(crate) fn on_discovery_tick(net: &mut Net, dev: usize) {
-    let (state, n_subs, sub_dur, interval) = {
-        let Some(w) = net.devices[dev].wigig() else {
-            return;
-        };
-        (
-            w.state,
-            w.cfg.discovery_sub_elements,
-            w.cfg.discovery_sub_duration,
-            w.cfg.discovery_interval,
-        )
+    let Some(w) = net.devices[dev].wigig() else {
+        return;
     };
-    if state != WigigState::Unassociated {
+    if w.state != WigigState::Unassociated {
         return; // associated meanwhile; sweeps stop
     }
     net.devices[dev].stats.discovery_sweeps += 1;
     let now = net.now();
-    for i in 0..n_subs {
+    for i in 0..WIGIG_DISCOVERY_SUB_ELEMENTS {
         let seq = net.next_seq();
         let frame = DeferredFrame::new(dev, None, DeferredKind::DiscoverySub, seq, PatKey::Qo(i));
         if i == 0 {
             net.start_deferred_tx(frame);
         } else {
-            net.queue
-                .schedule(now + sub_dur * i as u32, NetEv::SendFrame(frame));
+            let at = now + WIGIG_DISCOVERY_SUB_DURATION * i as u32;
+            net.queue.schedule(at, NetEv::SendFrame(frame));
         }
     }
     net.queue
-        .schedule(now + interval, NetEv::DiscoveryTick { dev });
+        .schedule(now + WIGIG_DISCOVERY_INTERVAL, NetEv::DiscoveryTick { dev });
 }
 
 /// After the last sub-element: did the pre-wired peer hear the sweep?
@@ -94,16 +86,9 @@ fn check_discovery_response(net: &mut Net, dock: usize) {
     // Reachability check: the best trained pair must promise a
     // *sustainable* link (the same criterion that breaks links — otherwise
     // a just-broken link would instantly re-associate and flap).
-    let result = training::best_pair_with(
-        net.medium.link_cache_mut(),
-        &net.env,
-        &net.devices[dock],
-        dock,
-        &net.devices[station],
-        station,
-    );
+    let result = net.train_pair(dock, station);
     let snr = result.rx_dbm - net.env.noise_floor_dbm();
-    if snr < net.cfg.min_link_snr_db + DISCOVERY_MARGIN_DB {
+    if snr < MIN_LINK_SNR_DB + DISCOVERY_MARGIN_DB {
         return; // out of range; keep sweeping
     }
     // Handshake: a short exchange of training frames, then association.
@@ -133,22 +118,14 @@ fn check_discovery_response(net: &mut Net, dock: usize) {
 
 /// Train the sector pair and enter the data phase.
 pub(crate) fn complete_association(net: &mut Net, dock: usize, station: usize) {
-    let result = training::best_pair_with(
-        net.medium.link_cache_mut(),
-        &net.env,
-        &net.devices[dock],
-        dock,
-        &net.devices[station],
-        station,
-    );
-    let beacon_interval = {
+    let result = net.train_pair(dock, station);
+    {
         let w = net.devices[dock].wigig_mut().expect("dock is wigig");
         w.state = WigigState::Associated;
         w.tx_sector = result.a_sector;
         w.peer = Some(station);
         net.devices[dock].stats.retrains += 1;
-        net.devices[dock].wigig().expect("dock").cfg.beacon_interval
-    };
+    }
     {
         let w = net.devices[station].wigig_mut().expect("station is wigig");
         w.state = WigigState::Associated;
@@ -158,7 +135,7 @@ pub(crate) fn complete_association(net: &mut Net, dock: usize, station: usize) {
     }
     update_link_snr(net, dock, station);
     update_link_snr(net, station, dock);
-    let at = net.now() + beacon_interval;
+    let at = net.now() + WIGIG_BEACON_INTERVAL;
     net.queue.schedule(at, NetEv::BeaconTick { dev: dock });
     // Data may already be queued.
     for d in [dock, station] {
@@ -173,34 +150,18 @@ fn update_link_snr(net: &mut Net, me: usize, peer: usize) {
 }
 
 fn update_link_snr_inner(net: &mut Net, me: usize, peer: usize, allow_retrain: bool) {
-    let peer_sector = net.devices[peer].wigig().map(|w| w.tx_sector).unwrap_or(0);
-    let rx = net.medium.rx_power_dbm(
-        &net.env,
-        &net.devices,
-        peer,
-        PatKey::Dir(peer_sector),
-        me,
-        0.0,
-    ) + net.link_offset_db(peer, me);
+    let snr = net.trained_snr_db(me, peer);
     let noise = net.env.noise_floor_dbm();
-    let snr = rx - noise;
     if let Some(w) = net.devices[me].wigig_mut() {
         w.adapter.on_snr(snr, noise);
     }
-    if snr < net.cfg.min_link_snr_db {
+    if snr < MIN_LINK_SNR_DB {
         // The current beam pair is no longer sustainable. Before giving
         // the link up, retrain once — the channel may have changed (e.g.
         // blockage) while a usable reflection path exists.
         if allow_retrain {
-            let best = training::best_pair_with(
-                net.medium.link_cache_mut(),
-                &net.env,
-                &net.devices[me],
-                me,
-                &net.devices[peer],
-                peer,
-            );
-            if best.rx_dbm - noise >= net.cfg.min_link_snr_db {
+            let best = net.train_pair(me, peer);
+            if best.rx_dbm - noise >= MIN_LINK_SNR_DB {
                 retrain(net, me, peer);
                 return;
             }
@@ -225,7 +186,7 @@ pub(crate) fn break_link(net: &mut Net, a: usize, b: usize) {
             w.in_txop = false;
             w.contending = false;
             w.retry = 0;
-            w.cw = 8;
+            w.cw = CW_AFTER_LINK_BREAK;
             w.ack_fail_streak = 0;
             w.beacon_fail_streak = 0;
             w.loss_recovery_attempts = 0;
@@ -250,12 +211,7 @@ pub(crate) fn break_link(net: &mut Net, a: usize, b: usize) {
             .map(|w| w.role == WigigRole::Dock)
             .unwrap_or(false);
         if is_dock {
-            let interval = net.devices[d]
-                .wigig()
-                .expect("wigig")
-                .cfg
-                .discovery_interval;
-            let at = net.now() + interval;
+            let at = net.now() + WIGIG_DISCOVERY_INTERVAL;
             net.queue.schedule(at, NetEv::DiscoveryTick { dev: d });
         }
     }
@@ -267,11 +223,11 @@ pub(crate) fn break_link(net: &mut Net, a: usize, b: usize) {
 
 /// The dock-driven 1.1 ms beacon exchange.
 pub(crate) fn on_beacon_tick(net: &mut Net, dev: usize) {
-    let (state, peer, interval) = {
+    let (state, peer) = {
         let Some(w) = net.devices[dev].wigig() else {
             return;
         };
-        (w.state, w.peer, w.cfg.beacon_interval)
+        (w.state, w.peer)
     };
     if state != WigigState::Associated {
         return;
@@ -311,7 +267,7 @@ pub(crate) fn on_beacon_tick(net: &mut Net, dev: usize) {
     };
     let idle = net
         .medium
-        .idle_for(dev, cs_threshold(net, dev), net.now(), net.cfg.params.sifs);
+        .idle_for(dev, net.devices[dev].cs_threshold_dbm, net.now(), SIFS);
     if net.medium.is_transmitting(dev) || mid_exchange || !idle {
         let at = net.now() + SimDuration::from_micros(53);
         net.queue.schedule(at, NetEv::BeaconTick { dev });
@@ -327,20 +283,13 @@ pub(crate) fn on_beacon_tick(net: &mut Net, dev: usize) {
     };
     net.devices[dev].stats.beacons_tx += 1;
     net.start_tx(frame, PatKey::Qo(beacon_idx));
-    let at = net.now() + interval;
+    let at = net.now() + WIGIG_BEACON_INTERVAL;
     net.queue.schedule(at, NetEv::BeaconTick { dev });
 }
 
 /// Re-run beam training on an established link (realignment).
 fn retrain(net: &mut Net, a: usize, b: usize) {
-    let result = training::best_pair_with(
-        net.medium.link_cache_mut(),
-        &net.env,
-        &net.devices[a],
-        a,
-        &net.devices[b],
-        b,
-    );
+    let result = net.train_pair(a, b);
     if let Some(w) = net.devices[a].wigig_mut() {
         w.tx_sector = result.a_sector;
     }
@@ -375,17 +324,7 @@ fn loss_recovery(net: &mut Net, me: usize, peer: usize) {
     if !state_ok {
         return;
     }
-    let peer_sector = net.devices[peer].wigig().map(|w| w.tx_sector).unwrap_or(0);
-    let rx = net.medium.rx_power_dbm(
-        &net.env,
-        &net.devices,
-        peer,
-        PatKey::Dir(peer_sector),
-        me,
-        0.0,
-    ) + net.link_offset_db(peer, me);
-    let snr = rx - net.env.noise_floor_dbm();
-    if snr >= net.cfg.min_link_snr_db {
+    if net.trained_snr_db(me, peer) >= MIN_LINK_SNR_DB {
         if let Some(w) = net.devices[me].wigig_mut() {
             w.ack_fail_streak = 0;
             w.beacon_fail_streak = 0;
@@ -460,7 +399,6 @@ fn note_beacon_loss(net: &mut Net, dev: usize) {
 /// Schedule a contention attempt after `extra` delay if the device is idle
 /// and has queued data.
 pub(crate) fn maybe_contend(net: &mut Net, dev: usize, extra: SimDuration) {
-    let aifs = net.cfg.params.aifs();
     let now = net.now();
     let Some(w) = net.devices[dev].wigig_mut() else {
         return;
@@ -474,7 +412,7 @@ pub(crate) fn maybe_contend(net: &mut Net, dev: usize, extra: SimDuration) {
     {
         w.contending = true;
         net.queue
-            .schedule(now + aifs + extra, NetEv::TxopAttempt { dev });
+            .schedule(now + AIFS + extra, NetEv::TxopAttempt { dev });
     }
 }
 
@@ -495,9 +433,9 @@ pub(crate) fn on_txop_attempt(net: &mut Net, dev: usize) {
         // the queue has waited long enough.
         let batch_wait_until = if ready
             && w.queue.len() < w.cfg.min_aggregation
-            && now < w.oldest_wait_start + w.cfg.max_queue_wait
+            && now < w.oldest_wait_start + MAX_QUEUE_WAIT
         {
-            Some(w.oldest_wait_start + w.cfg.max_queue_wait)
+            Some(w.oldest_wait_start + MAX_QUEUE_WAIT)
         } else {
             None
         };
@@ -518,17 +456,15 @@ pub(crate) fn on_txop_attempt(net: &mut Net, dev: usize) {
     // Proper CSMA: the channel must have been idle for a full AIFS, not
     // merely at this instant (otherwise attempts landing inside the SIFS
     // gaps of a peer's burst collide with the next burst frame).
-    let busy = !net.medium.idle_for(
-        dev,
-        cs_threshold(net, dev),
-        net.now(),
-        net.cfg.params.aifs(),
-    ) || net.medium.is_transmitting(dev);
+    let busy = !net
+        .medium
+        .idle_for(dev, net.devices[dev].cs_threshold_dbm, net.now(), AIFS)
+        || net.medium.is_transmitting(dev);
     if busy {
         // Defer: retry after AIFS + random backoff.
         net.devices[dev].stats.cs_defers += 1;
         let slots = 1 + (net.rng.next_u64() % cw as u64) as u32;
-        let delay = net.cfg.params.aifs() + net.cfg.params.slot * slots;
+        let delay = AIFS + SLOT * slots;
         let now = net.now();
         if let Some(w) = net.devices[dev].wigig_mut() {
             w.contending = true;
@@ -552,13 +488,8 @@ pub(crate) fn on_txop_attempt(net: &mut Net, dev: usize) {
         seq,
     };
     let (_, end) = net.start_tx(frame, PatKey::Dir(sector));
-    let sifs = net.cfg.params.sifs;
-    let cts_dur = airtime(
-        &net.cfg.params,
-        &FrameKind::Cts,
-        SimDuration::from_micros(30),
-    );
-    let timeout_at = end + sifs + cts_dur + SimDuration::from_micros(3);
+    let cts_dur = airtime(&FrameKind::Cts, WIGIG_DISCOVERY_SUB_DURATION);
+    let timeout_at = end + SIFS + cts_dur + SimDuration::from_micros(3);
     net.queue
         .schedule(timeout_at, NetEv::CtsTimeout { dev, seq });
     if let Some(w) = net.devices[dev].wigig_mut() {
@@ -608,13 +539,12 @@ pub(crate) fn on_cts_timeout(net: &mut Net, dev: usize, rts_seq: u64) {
 fn backoff_and_contend(net: &mut Net, dev: usize) {
     let cw = net.devices[dev].wigig().map(|w| w.cw).unwrap_or(8);
     let slots = 1 + (net.rng.next_u64() % cw as u64) as u32;
-    let extra = net.cfg.params.slot * slots;
+    let extra = SLOT * slots;
     maybe_contend(net, dev, extra);
 }
 
 /// Send the next aggregated data PPDU of the current TXOP.
 pub(crate) fn send_next_data(net: &mut Net, dev: usize) {
-    let params = net.cfg.params;
     let now = net.now();
     let (peer, sector, mcs, max_aggregation, mpdus) = {
         let Some(w) = net.devices[dev].wigig_mut() else {
@@ -627,13 +557,12 @@ pub(crate) fn send_next_data(net: &mut Net, dev: usize) {
             w.in_txop = false;
             return;
         }
-        if w.queue.len() < w.cfg.min_aggregation && now < w.oldest_wait_start + w.cfg.max_queue_wait
-        {
+        if w.queue.len() < w.cfg.min_aggregation && now < w.oldest_wait_start + MAX_QUEUE_WAIT {
             // Not enough for a batch: close the TXOP and let the batch
             // timer (or the threshold crossing) re-open one.
             w.in_txop = false;
             w.contending = true;
-            let at = w.oldest_wait_start + w.cfg.max_queue_wait;
+            let at = w.oldest_wait_start + MAX_QUEUE_WAIT;
             net.queue.schedule(at.max(now), NetEv::TxopAttempt { dev });
             return;
         }
@@ -646,15 +575,13 @@ pub(crate) fn send_next_data(net: &mut Net, dev: usize) {
         // The cap as a payload-bit budget: `overhead + ⌈b·10⁹/r⌉ ns > cap`
         // exactly when `b > ⌊(cap − overhead)·r/10⁹⌋`, so the running bit
         // total (`data_airtime`'s sum) decides with no division per MPDU.
-        let budget_bits = w
-            .cfg
-            .max_ppdu_duration
-            .saturating_sub(params.data_phy_overhead)
+        let budget_bits = MAX_PPDU_DURATION
+            .saturating_sub(DATA_PHY_OVERHEAD)
             .bits_at(rate);
         let mut bits: u64 = 0;
         while mpdus.len() < max_aggregation {
             let Some(&next) = w.queue.front() else { break };
-            bits += (next.bytes + params.mpdu_overhead_bytes) as u64 * 8;
+            bits += (next.bytes + MPDU_OVERHEAD_BYTES) as u64 * 8;
             mpdus.push(next);
             if bits > budget_bits && mpdus.len() > 1 {
                 // Over the duration cap and not the sole MPDU: the next
@@ -697,7 +624,7 @@ pub(crate) fn send_next_data(net: &mut Net, dev: usize) {
         seq,
     };
     let (_, end) = net.start_tx(frame, PatKey::Dir(sector));
-    let timeout_at = end + params.ack_timeout;
+    let timeout_at = end + ACK_TIMEOUT;
     net.queue
         .schedule(timeout_at, NetEv::AckTimeout { dev, seq });
     if let Some(w) = net.devices[dev].wigig_mut() {
@@ -710,8 +637,6 @@ pub(crate) fn send_next_data(net: &mut Net, dev: usize) {
 /// A timeout for a data frame that is no longer awaiting its ACK (the ACK
 /// arrived, or the link broke) is superseded and changes nothing.
 pub(crate) fn on_ack_timeout(net: &mut Net, dev: usize, data_seq: u64) {
-    let retry_limit = net.cfg.params.retry_limit;
-    let cw_max = net.cfg.params.cw_max;
     let dropped: Option<Vec<u64>> = {
         let Some(w) = net.devices[dev].wigig_mut() else {
             return;
@@ -721,9 +646,9 @@ pub(crate) fn on_ack_timeout(net: &mut Net, dev: usize, data_seq: u64) {
         };
         w.adapter.on_frame_result(false);
         w.retry += 1;
-        w.cw = (w.cw * 2).min(cw_max);
+        w.cw = (w.cw * 2).min(CW_MAX);
         w.in_txop = false;
-        let dropped = if w.retry > retry_limit {
+        let dropped = if w.retry > RETRY_LIMIT {
             w.retry = 0;
             Some(aa.mpdus.iter().map(|m| m.tag).collect())
         } else {
@@ -754,16 +679,11 @@ pub(crate) fn on_ack_timeout(net: &mut Net, dev: usize, data_seq: u64) {
 
 /// Handle the end of any WiGig-class frame.
 pub(crate) fn on_frame_end(net: &mut Net, tx: &ActiveTx, delivered: Option<bool>) {
-    let sifs = net.cfg.params.sifs;
     match &tx.frame.kind {
-        FrameKind::DiscoverySub { pattern_idx } => {
-            let n_subs = net.devices[tx.frame.src]
-                .wigig()
-                .map(|w| w.cfg.discovery_sub_elements)
-                .unwrap_or(32);
-            if *pattern_idx + 1 == n_subs {
-                check_discovery_response(net, tx.frame.src);
-            }
+        FrameKind::DiscoverySub { pattern_idx }
+            if *pattern_idx + 1 == WIGIG_DISCOVERY_SUB_ELEMENTS =>
+        {
+            check_discovery_response(net, tx.frame.src);
         }
         FrameKind::Training => {}
         FrameKind::Beacon => match delivered {
@@ -787,7 +707,7 @@ pub(crate) fn on_frame_end(net: &mut Net, tx: &ActiveTx, delivered: Option<bool>
                     let pattern = PatKey::Qo((seq % 32) as usize);
                     let frame =
                         DeferredFrame::new(me, Some(peer), DeferredKind::Beacon, seq, pattern);
-                    let at = net.now() + sifs;
+                    let at = net.now() + SIFS;
                     net.devices[me].stats.beacons_tx += 1;
                     net.queue.schedule(at, NetEv::SendFrame(frame));
                 }
@@ -801,9 +721,7 @@ pub(crate) fn on_frame_end(net: &mut Net, tx: &ActiveTx, delivered: Option<bool>
             // responder's own medium is clear — this is what protects
             // the receiver from transmitters the RTS sender cannot
             // hear (the hidden-interferer case of §4.4).
-            let clear = !net
-                .medium
-                .is_busy_for(responder, net.cfg.params.cts_grant_threshold_dbm)
+            let clear = !net.medium.is_busy_for(responder, CTS_GRANT_THRESHOLD_DBM)
                 && !net.medium.is_transmitting(responder);
             if clear {
                 let sector = net.devices[responder]
@@ -818,7 +736,7 @@ pub(crate) fn on_frame_end(net: &mut Net, tx: &ActiveTx, delivered: Option<bool>
                     seq,
                     PatKey::Dir(sector),
                 );
-                let at = net.now() + sifs;
+                let at = net.now() + SIFS;
                 net.queue.schedule(at, NetEv::SendFrame(frame));
             } else {
                 net.devices[responder].stats.cs_defers += 1;
@@ -832,7 +750,7 @@ pub(crate) fn on_frame_end(net: &mut Net, tx: &ActiveTx, delivered: Option<bool>
                 w.pending_cts.take()
             });
             if pending.is_some() {
-                let at = net.now() + sifs;
+                let at = net.now() + SIFS;
                 net.queue.schedule(at, NetEv::TxopData { dev: owner });
             }
         }
@@ -860,7 +778,7 @@ pub(crate) fn on_frame_end(net: &mut Net, tx: &ActiveTx, delivered: Option<bool>
                 seq,
                 PatKey::Dir(sector),
             );
-            let at = net.now() + sifs;
+            let at = net.now() + SIFS;
             net.queue.schedule(at, NetEv::SendFrame(frame));
         }
         FrameKind::Ack if delivered == Some(true) => {
@@ -875,7 +793,7 @@ pub(crate) fn on_frame_end(net: &mut Net, tx: &ActiveTx, delivered: Option<bool>
                 if let Some(aa) = w.awaiting_ack.take() {
                     w.adapter.on_frame_result(true);
                     w.retry = 0;
-                    w.cw = 16;
+                    w.cw = CW_MIN;
                     w.ack_fail_streak = 0;
                     w.loss_recovery_attempts = 0;
                     net.mpdu_pool.put(aa.mpdus);
@@ -892,7 +810,7 @@ pub(crate) fn on_frame_end(net: &mut Net, tx: &ActiveTx, delivered: Option<bool>
                     (!w.queue.is_empty(), now.since(w.txop_start) < txop_max)
                 };
                 if more && in_budget {
-                    let at = now + sifs;
+                    let at = now + SIFS;
                     net.queue.schedule(at, NetEv::TxopData { dev: owner });
                 } else {
                     if let Some(w) = net.devices[owner].wigig_mut() {

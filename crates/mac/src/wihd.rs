@@ -10,7 +10,11 @@ use crate::device::PatKey;
 use crate::frame::{Frame, FrameKind};
 use crate::medium::ActiveTx;
 use crate::net::{DeferredFrame, DeferredKind, Net, NetEv};
-use crate::training;
+use crate::params::{
+    DATA_PHY_OVERHEAD, SIFS, WIHD_BEACON_GUARD, WIHD_BEACON_INTERVAL, WIHD_DISCOVERY_INTERVAL,
+    WIHD_DISCOVERY_SUB_DURATION, WIHD_DISCOVERY_SUB_ELEMENTS, WIHD_MAX_DATA_DURATION,
+    WIHD_PHY_RATE_BPS, WIHD_SBIFS, WIHD_VIDEO_FRAME_INTERVAL, WIHD_VIDEO_RATE_BPS,
+};
 use mmwave_sim::time::SimDuration;
 
 /// Margin over control sensitivity for pairing reachability.
@@ -20,22 +24,14 @@ const PAIRING_MARGIN_DB: f64 = 3.0;
 /// (§4.2: "their order changes with every transmitted device discovery
 /// frame"), then check whether the sink responded.
 pub(crate) fn on_discovery_tick(net: &mut Net, dev: usize) {
-    let (paired, n_subs, sub_dur, interval) = {
-        let Some(w) = net.devices[dev].wihd() else {
-            return;
-        };
-        (
-            w.paired,
-            w.cfg.discovery_sub_elements,
-            w.cfg.discovery_sub_duration,
-            w.cfg.discovery_interval,
-        )
+    let Some(w) = net.devices[dev].wihd() else {
+        return;
     };
-    if paired {
+    if w.paired {
         return;
     }
     // Shuffled pattern order, fresh each frame.
-    let mut order: Vec<usize> = (0..n_subs).collect();
+    let mut order: Vec<usize> = (0..WIHD_DISCOVERY_SUB_ELEMENTS).collect();
     for i in (1..order.len()).rev() {
         let j = (net.rng.next_u64() % (i as u64 + 1)) as usize;
         order.swap(i, j);
@@ -49,23 +45,16 @@ pub(crate) fn on_discovery_tick(net: &mut Net, dev: usize) {
         if slot == 0 {
             net.start_deferred_tx(frame);
         } else {
-            net.queue
-                .schedule(now + sub_dur * slot as u32, NetEv::SendFrame(frame));
+            let at = now + WIHD_DISCOVERY_SUB_DURATION * slot as u32;
+            net.queue.schedule(at, NetEv::SendFrame(frame));
         }
     }
     // Pairing check shortly after the sweep completes.
-    let sweep_end = now + sub_dur * n_subs as u32;
+    let sweep_end = now + WIHD_DISCOVERY_SUB_DURATION * WIHD_DISCOVERY_SUB_ELEMENTS as u32;
     let peer = net.devices[dev].wihd().expect("wihd").peer;
     let reachable = match peer {
         Some(p) => {
-            let r = training::best_pair_with(
-                net.medium.link_cache_mut(),
-                &net.env,
-                &net.devices[dev],
-                dev,
-                &net.devices[p],
-                p,
-            );
+            let r = net.train_pair(dev, p);
             let sens = net.mcs_table.control().sensitivity_dbm;
             r.rx_dbm >= sens + PAIRING_MARGIN_DB
         }
@@ -77,8 +66,10 @@ pub(crate) fn on_discovery_tick(net: &mut Net, dev: usize) {
             NetEv::WihdPairComplete { source: dev, sink },
         );
     } else {
-        net.queue
-            .schedule(now + interval, NetEv::WihdDiscoveryTick { dev });
+        net.queue.schedule(
+            now + WIHD_DISCOVERY_INTERVAL,
+            NetEv::WihdDiscoveryTick { dev },
+        );
     }
 }
 
@@ -87,21 +78,13 @@ pub(crate) fn complete_pairing(net: &mut Net, source: usize, sink: usize) {
     if net.devices[source].wihd().map(|w| w.paired).unwrap_or(true) {
         return;
     }
-    let result = training::best_pair_with(
-        net.medium.link_cache_mut(),
-        &net.env,
-        &net.devices[source],
-        source,
-        &net.devices[sink],
-        sink,
-    );
-    let (beacon_interval, video_interval) = {
+    let result = net.train_pair(source, sink);
+    {
         let w = net.devices[source].wihd_mut().expect("source is wihd");
         w.paired = true;
         w.tx_sector = result.a_sector;
         w.peer = Some(sink);
-        (w.cfg.beacon_interval, w.cfg.video_frame_interval)
-    };
+    }
     {
         let w = net.devices[sink].wihd_mut().expect("sink is wihd");
         w.paired = true;
@@ -111,19 +94,23 @@ pub(crate) fn complete_pairing(net: &mut Net, source: usize, sink: usize) {
     net.devices[source].stats.retrains += 1;
     net.devices[sink].stats.retrains += 1;
     let now = net.now();
-    net.queue
-        .schedule(now + beacon_interval, NetEv::WihdBeaconTick { dev: sink });
-    net.queue
-        .schedule(now + video_interval, NetEv::WihdVideoTick { dev: source });
+    net.queue.schedule(
+        now + WIHD_BEACON_INTERVAL,
+        NetEv::WihdBeaconTick { dev: sink },
+    );
+    net.queue.schedule(
+        now + WIHD_VIDEO_FRAME_INTERVAL,
+        NetEv::WihdVideoTick { dev: source },
+    );
 }
 
 /// Sink beacon: emitted blindly on the fixed 224 µs grid.
 pub(crate) fn on_beacon_tick(net: &mut Net, dev: usize) {
-    let (paired, peer, sector, interval) = {
+    let (paired, peer, sector) = {
         let Some(w) = net.devices[dev].wihd() else {
             return;
         };
-        (w.paired, w.peer, w.tx_sector, w.cfg.beacon_interval)
+        (w.paired, w.peer, w.tx_sector)
     };
     if !paired {
         return;
@@ -131,7 +118,7 @@ pub(crate) fn on_beacon_tick(net: &mut Net, dev: usize) {
     let now = net.now();
     // Record the grid so the source knows when to stop a burst.
     if let Some(w) = net.devices[dev].wihd_mut() {
-        w.next_beacon_at = now + interval;
+        w.next_beacon_at = now + WIHD_BEACON_INTERVAL;
     }
     if let Some(peer) = peer {
         let seq = net.next_seq();
@@ -145,27 +132,22 @@ pub(crate) fn on_beacon_tick(net: &mut Net, dev: usize) {
         net.start_tx(frame, PatKey::Dir(sector));
     }
     net.queue
-        .schedule(now + interval, NetEv::WihdBeaconTick { dev });
+        .schedule(now + WIHD_BEACON_INTERVAL, NetEv::WihdBeaconTick { dev });
 }
 
 /// A new video frame enters the source queue (VBR around the mean rate).
 pub(crate) fn on_video_tick(net: &mut Net, dev: usize) {
-    let (paired, video_on, interval, rate) = {
+    let (paired, video_on) = {
         let Some(w) = net.devices[dev].wihd() else {
             return;
         };
-        (
-            w.paired,
-            w.video_on,
-            w.cfg.video_frame_interval,
-            w.cfg.video_rate_bps,
-        )
+        (w.paired, w.video_on)
     };
     if !paired {
         return;
     }
     if video_on {
-        let mean_bytes = rate as f64 * interval.as_secs_f64() / 8.0;
+        let mean_bytes = WIHD_VIDEO_RATE_BPS as f64 * WIHD_VIDEO_FRAME_INTERVAL.as_secs_f64() / 8.0;
         let bytes = net.rng.normal(mean_bytes, 0.15 * mean_bytes).max(0.0) as u64;
         if let Some(w) = net.devices[dev].wihd_mut() {
             // Bound the backlog: a real encoder drops frames rather than
@@ -174,26 +156,19 @@ pub(crate) fn on_video_tick(net: &mut Net, dev: usize) {
         }
     }
     let now = net.now();
-    net.queue
-        .schedule(now + interval, NetEv::WihdVideoTick { dev });
+    net.queue.schedule(
+        now + WIHD_VIDEO_FRAME_INTERVAL,
+        NetEv::WihdVideoTick { dev },
+    );
 }
 
 /// Transmit the next queued data frame (no carrier sense, no ACKs).
 pub(crate) fn send_next(net: &mut Net, dev: usize) {
-    let params_overhead = net.cfg.params.data_phy_overhead;
-    let (queue, peer, sector, max_dur, phy_rate, guard, video_on) = {
+    let (queue, peer, sector, video_on) = {
         let Some(w) = net.devices[dev].wihd() else {
             return;
         };
-        (
-            w.queue_bytes,
-            w.peer,
-            w.tx_sector,
-            w.cfg.max_data_duration,
-            w.cfg.phy_rate_bps,
-            w.cfg.beacon_guard,
-            w.video_on,
-        )
+        (w.queue_bytes, w.peer, w.tx_sector, w.video_on)
     };
     let Some(peer) = peer else { return };
     if queue == 0 || !video_on {
@@ -202,16 +177,19 @@ pub(crate) fn send_next(net: &mut Net, dev: usize) {
         }
         return;
     }
-    let max_bytes = (max_dur.saturating_sub(params_overhead)).bits_at(phy_rate) / 8;
+    let max_bytes = WIHD_MAX_DATA_DURATION
+        .saturating_sub(DATA_PHY_OVERHEAD)
+        .bits_at(WIHD_PHY_RATE_BPS)
+        / 8;
     let bytes = queue.min(max_bytes) as u32;
     // Respect the beacon grid: stop the burst if this frame would overrun.
     let next_beacon = net.devices[peer]
         .wihd()
         .map(|w| w.next_beacon_at)
         .unwrap_or_default();
-    let frame_dur = params_overhead + SimDuration::for_bits(bytes as u64 * 8, phy_rate);
+    let frame_dur = DATA_PHY_OVERHEAD + SimDuration::for_bits(bytes as u64 * 8, WIHD_PHY_RATE_BPS);
     let now = net.now();
-    if next_beacon > now && now + frame_dur + guard > next_beacon {
+    if next_beacon > now && now + frame_dur + WIHD_BEACON_GUARD > next_beacon {
         if let Some(w) = net.devices[dev].wihd_mut() {
             w.bursting = false;
         }
@@ -246,7 +224,7 @@ pub(crate) fn on_frame_end(net: &mut Net, tx: &ActiveTx, delivered: Option<bool>
                 .map(|w| w.paired && w.queue_bytes > 0 && w.video_on)
                 .unwrap_or(false);
             if has_data {
-                let at = net.now() + net.cfg.params.sifs;
+                let at = net.now() + SIFS;
                 net.queue.schedule(at, NetEv::WihdSendNext { dev: source });
             }
         }
@@ -260,8 +238,7 @@ pub(crate) fn on_frame_end(net: &mut Net, tx: &ActiveTx, delivered: Option<bool>
             let src = tx.frame.src;
             let bursting = net.devices[src].wihd().map(|w| w.bursting).unwrap_or(false);
             if bursting {
-                let sbifs = net.devices[src].wihd().expect("wihd").cfg.sbifs;
-                let at = net.now() + sbifs;
+                let at = net.now() + WIHD_SBIFS;
                 net.queue.schedule(at, NetEv::WihdSendNext { dev: src });
             }
         }

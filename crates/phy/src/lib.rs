@@ -50,7 +50,7 @@ pub use pattern::{AntennaPattern, Lobe};
 pub use propagation::{
     fspl_db, oxygen_loss_db, path_loss_db, LinkBudget, BANDWIDTH_HZ, FREQ_CH2_HZ, FREQ_CH3_HZ,
 };
-pub use rate_adapt::{RateAdapter, RateAdapterConfig};
+pub use rate_adapt::RateAdapter;
 
 /// Convert dB to linear power ratio.
 pub fn db_to_lin(db: f64) -> f64 {

@@ -11,39 +11,22 @@
 
 use crate::mcs::{Mcs, McsTable};
 
-/// Tuning knobs of the rate adapter.
-#[derive(Clone, Copy, Debug)]
-pub struct RateAdapterConfig {
-    /// Highest MCS index the implementation will select (11 on the D5000).
-    pub max_mcs: u8,
-    /// Extra SNR (dB) required *above* an MCS threshold before upgrading
-    /// into it (hysteresis against flapping).
-    pub up_margin_db: f64,
-    /// SNR margin (dB) below which the current MCS is abandoned.
-    pub down_margin_db: f64,
-    /// Number of recent data frames considered for loss-driven fallback.
-    pub loss_window: usize,
-    /// Loss ratio in the window that forces a one-step downgrade.
-    pub loss_down_ratio: f64,
-    /// Consecutive clean windows required before releasing one backoff
-    /// step. High enough that a link facing *recurring* interference
-    /// (e.g. a WiHD neighbour) stays backed off instead of oscillating
-    /// into the interferer every few windows.
-    pub clean_windows_for_up: u32,
-}
-
-impl Default for RateAdapterConfig {
-    fn default() -> Self {
-        RateAdapterConfig {
-            max_mcs: 11,
-            up_margin_db: 3.0,
-            down_margin_db: 1.0,
-            loss_window: 24,
-            loss_down_ratio: 0.15,
-            clean_windows_for_up: 8,
-        }
-    }
-}
+/// Highest MCS index the implementation will select (11 on the D5000).
+pub const MAX_MCS: u8 = 11;
+/// Extra SNR (dB) required *above* an MCS threshold before upgrading into
+/// it (hysteresis against flapping).
+pub const UP_MARGIN_DB: f64 = 3.0;
+/// SNR margin (dB) below which the current MCS is abandoned.
+pub const DOWN_MARGIN_DB: f64 = 1.0;
+/// Number of recent data frames considered for loss-driven fallback.
+pub const LOSS_WINDOW: usize = 24;
+/// Loss ratio in the window that forces a one-step downgrade.
+pub const LOSS_DOWN_RATIO: f64 = 0.15;
+/// Consecutive clean windows required before releasing one backoff step.
+/// High enough that a link facing *recurring* interference (e.g. a WiHD
+/// neighbour) stays backed off instead of oscillating into the interferer
+/// every few windows.
+pub const CLEAN_WINDOWS_FOR_UP: u32 = 8;
 
 /// SNR- and loss-driven MCS selection with hysteresis.
 ///
@@ -54,12 +37,11 @@ impl Default for RateAdapterConfig {
 /// the backoff to an already-backed-off value).
 #[derive(Clone, Debug)]
 pub struct RateAdapter {
-    cfg: RateAdapterConfig,
     table: McsTable,
     /// Pure SNR-driven selection (with hysteresis).
     base: u8,
     /// Ring of recent frame outcomes (true = acked).
-    window: Vec<bool>,
+    window: [bool; LOSS_WINDOW],
     window_pos: usize,
     window_filled: bool,
     clean_streak: u32,
@@ -69,12 +51,9 @@ pub struct RateAdapter {
 
 impl RateAdapter {
     /// Create an adapter starting at the most robust data MCS.
-    pub fn new(cfg: RateAdapterConfig) -> RateAdapter {
-        assert!(cfg.max_mcs >= 1);
-        assert!(cfg.loss_window >= 4);
+    pub fn new() -> RateAdapter {
         RateAdapter {
-            window: vec![true; cfg.loss_window],
-            cfg,
+            window: [true; LOSS_WINDOW],
             table: McsTable::ieee_802_11ad(),
             base: 1,
             window_pos: 0,
@@ -87,7 +66,7 @@ impl RateAdapter {
     fn effective(&self) -> u8 {
         self.base
             .saturating_sub(self.loss_backoff)
-            .clamp(1, self.cfg.max_mcs)
+            .clamp(1, MAX_MCS)
     }
 
     /// The currently selected MCS.
@@ -103,7 +82,7 @@ impl RateAdapter {
     /// Loss ratio over the current window.
     pub fn loss_ratio(&self) -> f64 {
         let n = if self.window_filled {
-            self.window.len()
+            LOSS_WINDOW
         } else {
             self.window_pos.max(1)
         };
@@ -118,14 +97,9 @@ impl RateAdapter {
         let cur_thr = self.table.get(self.base).snr_threshold_db(noise_floor_dbm);
         let ideal = self
             .table
-            .best_for_snr(
-                snr_db,
-                noise_floor_dbm,
-                self.cfg.up_margin_db,
-                self.cfg.max_mcs,
-            )
+            .best_for_snr(snr_db, noise_floor_dbm, UP_MARGIN_DB, MAX_MCS)
             .index;
-        if snr_db < cur_thr + self.cfg.down_margin_db {
+        if snr_db < cur_thr + DOWN_MARGIN_DB {
             // Current rate no longer sustainable: drop straight to ideal.
             self.base = ideal.min(self.base);
         } else if ideal > self.base {
@@ -139,16 +113,16 @@ impl RateAdapter {
     pub fn on_frame_result(&mut self, acked: bool) -> u8 {
         self.window[self.window_pos] = acked;
         self.window_pos += 1;
-        if self.window_pos == self.window.len() {
+        if self.window_pos == LOSS_WINDOW {
             self.window_pos = 0;
             self.window_filled = true;
             let ratio = self.loss_ratio();
-            if ratio >= self.cfg.loss_down_ratio {
+            if ratio >= LOSS_DOWN_RATIO {
                 self.loss_backoff = (self.loss_backoff + 1).min(6);
                 self.clean_streak = 0;
             } else if ratio == 0.0 {
                 self.clean_streak += 1;
-                if self.clean_streak >= self.cfg.clean_windows_for_up && self.loss_backoff > 0 {
+                if self.clean_streak >= CLEAN_WINDOWS_FOR_UP && self.loss_backoff > 0 {
                     self.loss_backoff -= 1;
                     self.clean_streak = 0;
                 }
@@ -160,6 +134,12 @@ impl RateAdapter {
     }
 }
 
+impl Default for RateAdapter {
+    fn default() -> Self {
+        RateAdapter::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,7 +147,7 @@ mod tests {
     const NOISE: f64 = -71.5;
 
     fn adapter() -> RateAdapter {
-        RateAdapter::new(RateAdapterConfig::default())
+        RateAdapter::new()
     }
 
     #[test]

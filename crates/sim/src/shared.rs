@@ -30,10 +30,10 @@ use std::any::Any;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Most entries a [`SharedResults`] holds at once. A full-mode TCP sweep
-/// is about 1.1 MB, so eight stay under 9 MB. The campaign matrix is
-/// experiment-major, so a campaign of up to eight seeds reuses every
-/// sweep; past eight, its consumers cycle through more keys than the
-/// pool holds and recompute, as they did before the pool existed.
+/// is about 1.1 MB, so eight stay under 9 MB. The campaign dispatches
+/// seed-major within a cost tier, so the consumers of one seed's sweep are
+/// dispatched back to back and reuse it however many seeds the campaign
+/// runs: the cap need only cover the seeds in flight at once.
 pub const SHARED_CAP: usize = 8;
 
 /// Fill and reuse counts of one [`SharedResults`].

@@ -154,14 +154,15 @@ echo "==> forbidden-pattern gate (link budget)"
 # per-path formula, conducted power or implementation loss only there, in
 # the spatial index's coupling bound (channel/src/spatial.rs) and in the
 # budget's own module (phy/src/propagation.rs). Only the FrameClass rule
-# in mac/src/net.rs (NetConfig::extra_power_db) reads the control-PHY
-# boost. Code after a file's first #[cfg(test)] and comments are exempt.
+# in mac/src/frame.rs (FrameClass::extra_power_db) reads the control-PHY
+# boost, CONTROL_POWER_OFFSET_DB. Code after a file's first #[cfg(test)]
+# and comments are exempt.
 violations=$(find crates/*/src -name '*.rs' | sort \
     | xargs awk '
         FNR == 1 {
             live = 1
             budget_home = FILENAME ~ /^crates\/(channel\/src\/(propagate|spatial)|phy\/src\/propagation)\.rs$/
-            boost_home = FILENAME == "crates/mac/src/net.rs"
+            boost_home = FILENAME == "crates/mac/src/frame.rs"
         }
         /#\[cfg\(test\)\]/ { live = 0 }
         {
@@ -170,12 +171,12 @@ violations=$(find crates/*/src -name '*.rs' | sort \
             if (live && !budget_home \
                 && code ~ /budget\.(rx_power_dbm\(|tx_power_dbm|implementation_loss_db)/)
                 print FILENAME ":" FNR ": " $0
-            if (live && !boost_home && code ~ /control_power_offset_db/)
+            if (live && !boost_home && code ~ /CONTROL_POWER_OFFSET_DB/)
                 print FILENAME ":" FNR ": " $0
         }')
 if [[ -n "$violations" ]]; then
     echo "link-budget arithmetic or the control-PHY boost outside its home"
-    echo "(use mmwave_channel::propagate, or NetConfig::extra_power_db):"
+    echo "(use mmwave_channel::propagate, or FrameClass::extra_power_db):"
     echo "$violations"
     exit 1
 fi
@@ -252,6 +253,14 @@ check_no_alloc crates/channel/src/linkgain.rs weighted_sum
 check_no_alloc crates/mac/src/wigig.rs send_next_data
 check_no_alloc crates/mac/src/net.rs start_tx
 check_no_alloc crates/mac/src/medium.rs begin_tx
+
+echo "==> ablations binary against its golden output"
+# The ablations binary is the only production caller that sets a
+# non-default carrier-sense threshold or aggregation cap; its stdout is
+# pinned byte for byte. Regenerate only on purpose:
+#   cargo run --release -q -p mmwave-core --bin ablations > crates/core/tests/golden/ablations.txt
+cargo run --release -q -p mmwave-core --bin ablations \
+    | diff -u crates/core/tests/golden/ablations.txt -
 
 echo "==> cc_compare quick experiment"
 # The congestion plane's end-to-end check: loss-based and rate-based
