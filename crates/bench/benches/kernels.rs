@@ -565,6 +565,125 @@ fn bench_spatial() {
     });
 }
 
+/// One frame on the `enterprise` floor: 228 stations in 18 closed
+/// offices (absorber walls and a metal cabinet each, six dock–laptop
+/// links per office and a WiHD pair in every third), the medium spatially
+/// pruned. The source's coupled set and its link gains are warm and its
+/// power buffer is recycled, so a frame costs its own office's receivers
+/// and never touches the allocator.
+fn bench_dense_floor() {
+    use mmwave_channel::spatial::{PruneMode, SpatialConfig};
+    use mmwave_channel::Environment;
+    use mmwave_geom::Segment;
+    use mmwave_mac::frame::{FrameKind, Mpdu};
+    use mmwave_mac::medium::Medium;
+    use mmwave_mac::{Device, Frame, PatKey};
+
+    let mut room = Room::open_space();
+    let ctx = SimCtx::new();
+    let mut devices = Vec::new();
+    for ry in 0..3 {
+        for rx in 0..6 {
+            let (x0, y0) = (rx as f64 * 6.4, ry as f64 * 4.4);
+            let (x1, y1) = (x0 + 6.0, y0 + 4.0);
+            let corners = [
+                (Point::new(x0, y0), Point::new(x1, y0)),
+                (Point::new(x1, y0), Point::new(x1, y1)),
+                (Point::new(x1, y1), Point::new(x0, y1)),
+                (Point::new(x0, y1), Point::new(x0, y0)),
+            ];
+            for (i, (a, b)) in corners.into_iter().enumerate() {
+                room.add_obstacle(
+                    Segment::new(a, b),
+                    Material::Absorber,
+                    format!("o{rx}{ry}-{i}"),
+                );
+            }
+            room.add_obstacle(
+                Segment::new(
+                    Point::new(x0 + 0.15, y0 + 1.2),
+                    Point::new(x0 + 0.15, y0 + 2.8),
+                ),
+                Material::Metal,
+                format!("cabinet{rx}{ry}"),
+            );
+            room.add_zone(Point::new(x0, y0), Point::new(x1, y1));
+            for k in 0..6 {
+                let x = x0 + 0.8 + k as f64 * 0.88;
+                let up = Angle::from_degrees(90.0);
+                devices.push(Device::wigig_dock(
+                    &ctx,
+                    "d",
+                    Point::new(x, y0 + 0.6),
+                    up,
+                    13,
+                ));
+                let down = Angle::from_degrees(-90.0);
+                let p = Point::new(x + 0.3, y1 - 0.6);
+                devices.push(Device::wigig_laptop(&ctx, "l", p, down, 11));
+            }
+            if (rx + ry) % 3 == 0 {
+                let (p, q) = (
+                    Point::new(x0 + 1.0, y0 + 2.0),
+                    Point::new(x1 - 0.8, y0 + 2.0),
+                );
+                devices.push(Device::wihd_source(&ctx, "s", p, Angle::ZERO, 5));
+                let west = Angle::from_degrees(180.0);
+                devices.push(Device::wihd_sink(&ctx, "k", q, west, 7));
+            }
+        }
+    }
+    assert_eq!(devices.len(), 228);
+    let env = Environment::new(room);
+    let positions: Vec<Point> = devices.iter().map(|d| d.node.position).collect();
+    let offs = vec![0.0; devices.len()];
+    let mut medium = Medium::with_ctx(&ctx);
+    medium.enable_spatial(
+        &env,
+        &SpatialConfig::default(),
+        PruneMode::Enforce,
+        &positions,
+    );
+    let mut mpdus = vec![Mpdu {
+        bytes: 1500,
+        tag: 0,
+    }];
+    let mut one_frame = || {
+        let id = medium.begin_tx(
+            &env,
+            &devices,
+            Frame {
+                src: 0,
+                dst: Some(1),
+                kind: FrameKind::Data {
+                    mpdus: std::mem::take(&mut mpdus),
+                    mcs: 11,
+                    retry: 0,
+                },
+                seq: 1,
+            },
+            PatKey::Dir(16),
+            0.0,
+            SimTime::ZERO,
+            SimTime::from_micros(5),
+            &offs,
+        );
+        let tx = medium.finish_tx(id, |_| -68.0).expect("tx exists");
+        let p = tx.power_at[1];
+        if let FrameKind::Data { mpdus: m, .. } = tx.frame.kind {
+            mpdus = m;
+        }
+        medium.recycle_power(tx.power_at);
+        p
+    };
+    one_frame();
+    let r = bench("medium/begin_tx_dense_floor", one_frame);
+    assert_eq!(
+        r.allocs_per_iter, 0.0,
+        "medium/begin_tx_dense_floor allocated in steady state"
+    );
+}
+
 fn bench_mac_second() {
     use mmwave_channel::Environment;
     use mmwave_mac::{Device, Net, NetConfig};
@@ -726,6 +845,7 @@ fn main() {
     bench_detector();
     bench_link_cache();
     bench_spatial();
+    bench_dense_floor();
     bench_mac_second();
     bench_tcp_second();
     bench_campaign();

@@ -3,13 +3,21 @@
 //!
 //! Usage: `bench_check <baseline.json> <current.json>`
 //!
-//! For every kernel present in both files, the current median must stay
-//! within `baseline_median * (1 + tolerance)`. The tolerance defaults to
-//! 1.0 (i.e. the gate trips at 2× the baseline) and can be overridden via
-//! `BENCH_TOLERANCE`; the default is deliberately loose because shared
-//! container timing jitters by tens of percent, while the regressions
-//! this gate exists to catch — an accidentally disabled cache, a
-//! reintroduced per-call allocation — cost integer multiples.
+//! Two checks run on every kernel present in both files:
+//!
+//! * **Allocations, exactly.** Allocation events per iteration do not
+//!   depend on the host's speed, so the current `allocs_per_iter` must
+//!   equal the baseline's. Only whole-number baseline counts are gated: a
+//!   fractional count comes from a buffer that grows now and then across
+//!   iterations, so it depends on the calibrated iteration count and is
+//!   reported, not compared.
+//! * **Time, loosely.** The current median must stay within
+//!   `baseline_median * (1 + tolerance)`. The tolerance defaults to 1.0
+//!   (i.e. the gate trips at 2× the baseline) and can be overridden via
+//!   `BENCH_TOLERANCE`; the default is deliberately loose because shared
+//!   container timing jitters by tens of percent, while the regressions
+//!   this gate exists to catch — an accidentally disabled cache, a
+//!   reintroduced per-call allocation — cost integer multiples.
 //!
 //! A kernel present in the baseline but missing from the current run
 //! fails the gate (the baseline is stale — somebody renamed or deleted a
@@ -26,14 +34,21 @@ use std::process::ExitCode;
 
 use mmwave_campaign::json::Json;
 
-/// One kernel's medians side by side.
-struct Row {
-    name: String,
-    baseline_ns: Option<f64>,
-    current_ns: Option<f64>,
+/// One kernel's measurement in one file.
+#[derive(Clone, Copy)]
+struct Sample {
+    median_ns: f64,
+    allocs_per_iter: f64,
 }
 
-fn load_medians(path: &str) -> Result<Vec<(String, f64)>, String> {
+/// One kernel's samples side by side.
+struct Row {
+    name: String,
+    baseline: Option<Sample>,
+    current: Option<Sample>,
+}
+
+fn load_samples(path: &str) -> Result<Vec<(String, Sample)>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
     let schema = doc
@@ -57,11 +72,16 @@ fn load_medians(path: &str) -> Result<Vec<(String, f64)>, String> {
                 .get("name")
                 .and_then(Json::as_str)
                 .ok_or_else(|| format!("{path}: result without name"))?;
-            let median = r
-                .get("median_ns")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("{path}: '{name}' without median_ns"))?;
-            Ok((name.to_string(), median))
+            let field = |key: &str| {
+                r.get(key)
+                    .and_then(Json::as_f64)
+                    .ok_or_else(|| format!("{path}: '{name}' without {key}"))
+            };
+            let sample = Sample {
+                median_ns: field("median_ns")?,
+                allocs_per_iter: field("allocs_per_iter")?,
+            };
+            Ok((name.to_string(), sample))
         })
         .collect()
 }
@@ -81,9 +101,15 @@ fn tolerance() -> Result<f64, String> {
     }
 }
 
+/// The allocation verdict for one kernel: `None` when the baseline count
+/// is fractional (ungated), else whether the counts are equal.
+fn allocs_match(baseline: f64, current: f64) -> Option<bool> {
+    (baseline.fract() == 0.0).then_some(current == baseline)
+}
+
 fn check(baseline_path: &str, current_path: &str) -> Result<bool, String> {
-    let baseline = load_medians(baseline_path)?;
-    let current = load_medians(current_path)?;
+    let baseline = load_samples(baseline_path)?;
+    let current = load_samples(current_path)?;
     let tol = tolerance()?;
 
     // Baseline order first, then current-only kernels in their run order.
@@ -91,67 +117,82 @@ fn check(baseline_path: &str, current_path: &str) -> Result<bool, String> {
         .iter()
         .map(|(name, b)| Row {
             name: name.clone(),
-            baseline_ns: Some(*b),
-            current_ns: current.iter().find(|(n, _)| n == name).map(|(_, m)| *m),
+            baseline: Some(*b),
+            current: current.iter().find(|(n, _)| n == name).map(|(_, c)| *c),
         })
         .collect();
-    for (name, m) in &current {
+    for (name, c) in &current {
         if !baseline.iter().any(|(n, _)| n == name) {
             rows.push(Row {
                 name: name.clone(),
-                baseline_ns: None,
-                current_ns: Some(*m),
+                baseline: None,
+                current: Some(*c),
             });
         }
     }
 
     println!(
-        "bench_check: tolerance +{:.0}% over baseline medians",
+        "bench_check: allocations exact, time within +{:.0}% of baseline medians",
         tol * 100.0
     );
     println!(
-        "{:<44} {:>12} {:>12} {:>8}  verdict",
-        "kernel", "baseline", "current", "ratio"
+        "{:<44} {:>12} {:>12} {:>8} {:>17}  verdict",
+        "kernel", "baseline", "current", "ratio", "allocs/iter"
     );
-    let mut ok = true;
+    let (mut allocs_ok, mut time_ok, mut complete) = (true, true, true);
     for row in &rows {
-        match (row.baseline_ns, row.current_ns) {
+        match (row.baseline, row.current) {
             (Some(b), Some(c)) => {
-                let ratio = c / b;
-                let pass = c <= b * (1.0 + tol);
-                ok &= pass;
+                let ratio = c.median_ns / b.median_ns;
+                let fast_enough = c.median_ns <= b.median_ns * (1.0 + tol);
+                let allocs = allocs_match(b.allocs_per_iter, c.allocs_per_iter);
+                time_ok &= fast_enough;
+                allocs_ok &= allocs != Some(false);
+                let verdict = match (allocs, fast_enough) {
+                    (Some(false), _) => "ALLOCS CHANGED",
+                    (_, false) => "REGRESSED",
+                    (None, true) => "ok (allocs ungated)",
+                    (Some(true), true) => "ok",
+                };
                 println!(
-                    "{:<44} {:>12} {:>12} {:>7.2}x  {}",
+                    "{:<44} {:>12} {:>12} {:>7.2}x {:>17}  {verdict}",
                     row.name,
-                    fmt_ns(b),
-                    fmt_ns(c),
+                    fmt_ns(b.median_ns),
+                    fmt_ns(c.median_ns),
                     ratio,
-                    if pass { "ok" } else { "REGRESSED" }
+                    format!("{} → {}", b.allocs_per_iter, c.allocs_per_iter),
                 );
             }
             (Some(b), None) => {
-                ok = false;
+                complete = false;
                 println!(
-                    "{:<44} {:>12} {:>12} {:>8}  MISSING (stale baseline?)",
+                    "{:<44} {:>12} {:>12} {:>8} {:>17}  MISSING (stale baseline?)",
                     row.name,
-                    fmt_ns(b),
+                    fmt_ns(b.median_ns),
+                    "-",
                     "-",
                     "-"
                 );
             }
             (None, Some(c)) => {
                 println!(
-                    "{:<44} {:>12} {:>12} {:>8}  new (re-baseline to track)",
+                    "{:<44} {:>12} {:>12} {:>8} {:>17}  new (re-baseline to track)",
                     row.name,
                     "-",
-                    fmt_ns(c),
-                    "-"
+                    fmt_ns(c.median_ns),
+                    "-",
+                    c.allocs_per_iter
                 );
             }
-            (None, None) => unreachable!("row without any median"),
+            (None, None) => unreachable!("row without any sample"),
         }
     }
-    Ok(ok)
+    println!(
+        "bench_check: allocation check {}, time check {}",
+        if allocs_ok { "passed" } else { "FAILED" },
+        if time_ok { "passed" } else { "FAILED" }
+    );
+    Ok(allocs_ok && time_ok && complete)
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -183,5 +224,18 @@ fn main() -> ExitCode {
             eprintln!("bench_check: error: {e}");
             ExitCode::from(2)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::allocs_match;
+
+    #[test]
+    fn whole_counts_must_match_exactly_and_fractional_ones_are_ungated() {
+        assert_eq!(allocs_match(60.0, 60.0), Some(true));
+        assert_eq!(allocs_match(60.0, 61.0), Some(false));
+        assert_eq!(allocs_match(0.0, 0.1), Some(false));
+        assert_eq!(allocs_match(2.5, 2.4), None);
     }
 }

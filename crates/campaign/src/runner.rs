@@ -34,7 +34,7 @@ use crate::control::{self, ControlOpts};
 use crate::{CampaignConfig, CampaignResult, RunRecord, RunStatus, TaskSpec};
 use mmwave_phy::CodebookPrebuild;
 use mmwave_sim::ctx::SimCtx;
-use mmwave_sim::shared::{SharedResults, SharedStats};
+use mmwave_sim::shared::{SharedResults, SharedStats, SHARED_CAP};
 
 /// Run the campaign matrix in memory on the in-process pool; blocks until
 /// every task completed.
@@ -58,16 +58,11 @@ pub(crate) struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// LPT-sort `tasks`, prebuild the campaign pool, and start `jobs`
-    /// worker threads draining the queue.
+    /// Put `tasks` in [`dispatch_order`], prebuild the campaign pool, and
+    /// start `jobs` worker threads draining the queue.
     pub(crate) fn spawn(mut tasks: Vec<TaskSpec>, jobs: usize) -> ThreadPool {
         silence_worker_panics();
-
-        // Longest-processing-time dispatch: heavy tiers first, and seed-major
-        // within a tier, so the consumers of one seed's shared result run
-        // together and hit the bounded pool at any seed count. The sort is
-        // stable, so within a seed the matrix order is preserved.
-        tasks.sort_by_key(|t| (std::cmp::Reverse(t.exp.cost), t.seed));
+        dispatch_order(&mut tasks, jobs);
 
         // Campaign-wide pool: pay the cold sector synthesis for the
         // canonical device arrays exactly once, before any worker starts,
@@ -114,6 +109,24 @@ impl ThreadPool {
         }
         self.shared.stats()
     }
+}
+
+/// Longest-processing-time dispatch: heavy tiers first. Within a tier,
+/// seeds go in groups of `k = jobs.clamp(1, SHARED_CAP)` consecutive
+/// campaign seeds, in matrix order within a group (the sort is stable).
+/// The consumers of one seed's shared result then run close together and
+/// hit the bounded pool at any seed count, while `jobs` workers start on
+/// `k` different seeds' results instead of queueing behind one fill. At
+/// `jobs = 1` the order is seed-major.
+fn dispatch_order(tasks: &mut [TaskSpec], jobs: usize) {
+    let mut seeds: Vec<u64> = tasks.iter().map(|t| t.seed).collect();
+    seeds.sort_unstable();
+    seeds.dedup();
+    let k = jobs.clamp(1, SHARED_CAP);
+    tasks.sort_by_key(|t| {
+        let rank = seeds.binary_search(&t.seed).expect("a task's own seed");
+        (std::cmp::Reverse(t.exp.cost), rank / k)
+    });
 }
 
 fn worker_loop(
@@ -316,6 +329,42 @@ mod tests {
             let want = [("a", 5), ("a", 9), ("b", 5), ("b", 9)];
             assert_eq!(order, want.map(|(id, s)| (id.to_string(), s)));
         }
+    }
+
+    #[test]
+    fn dispatch_interleaves_seeds_only_across_workers() {
+        let (a, b) = (fake("a", passing), fake("b", passing));
+        let order = |jobs: usize| {
+            let mut tasks: Vec<TaskSpec> = [a, b]
+                .into_iter()
+                .enumerate()
+                .flat_map(|(exp_index, exp)| {
+                    [1u64, 2, 3].map(|seed| TaskSpec {
+                        exp,
+                        exp_index,
+                        seed,
+                        quick: true,
+                        cc: None,
+                        prune: None,
+                    })
+                })
+                .collect();
+            dispatch_order(&mut tasks, jobs);
+            tasks.iter().map(|t| (t.exp.id, t.seed)).collect::<Vec<_>>()
+        };
+        // One worker: seed-major, matrix order within a seed.
+        let one = order(1);
+        assert_eq!(
+            one,
+            [("a", 1), ("b", 1), ("a", 2), ("b", 2), ("a", 3), ("b", 3)]
+        );
+        // Two workers start on different seeds, in groups of two seeds.
+        let two = order(2);
+        assert_ne!(two[0].1, two[1].1, "{two:?}");
+        assert_eq!(
+            two,
+            [("a", 1), ("a", 2), ("b", 1), ("b", 2), ("a", 3), ("b", 3)]
+        );
     }
 
     #[test]

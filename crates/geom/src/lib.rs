@@ -33,7 +33,7 @@ pub use angle::{arc, full_circle, Angle};
 pub use material::Material;
 pub use raytrace::{
     shared_tree, trace_paths, trace_paths_reference, ClearWall, ImageTree, MirrorNode, PathKind,
-    PropPath, TraceConfig,
+    PropPath, TraceConfig, ZoneLists, SKIP_NEAR,
 };
 pub use room::{ConferenceRoom, Room, Wall, Zone};
 pub use segment::Segment;

@@ -17,15 +17,23 @@
 
 use crate::angle::Angle;
 use crate::material::Material;
-use crate::room::Room;
-use crate::segment::GEOM_EPS;
+use crate::room::{Room, Wall, Zone};
+use crate::segment::{Segment, GEOM_EPS};
 use crate::vec2::{Point, Vec2};
 use std::sync::Arc;
 
 /// Skip radius for obstruction tests at path endpoints and bounce points,
 /// in metres. Legs legitimately begin/end on reflecting walls; a crossing
 /// within 1 mm of a leg endpoint is that same wall, not an obstruction.
-const SKIP_NEAR: f64 = 1e-3;
+pub const SKIP_NEAR: f64 = 1e-3;
+
+/// How far inside a declared zone both endpoints of a pair must lie for
+/// [`trace_paths`] to use that zone's lists, and how close to the zone a
+/// wall must come to be on them, in metres. Twice [`SKIP_NEAR`], so that
+/// under the closed-zone contract a leg leaving the zone crosses a
+/// boundary wall farther than `SKIP_NEAR` from both of its ends, where
+/// that wall obstructs it (see [`ZoneLists`]).
+const ZONE_MARGIN: f64 = 2.0 * SKIP_NEAR;
 
 /// Kind of propagation path.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -194,6 +202,61 @@ pub struct ClearWall {
     pub tol_u: f64,
 }
 
+/// One declared zone's share of the image tree: the mirror nodes and
+/// clear walls that come within `ZONE_MARGIN` (2 mm) of the zone, each a
+/// subsequence of the whole room's list in the same order.
+///
+/// A pair whose endpoints both lie more than `ZONE_MARGIN` inside the zone
+/// is traced against these lists alone, and the result is bit-identical
+/// to the whole room's under the closed-zone contract of
+/// [`Room::add_zone`] (every point of the zone's boundary lies on an
+/// enabled wall):
+///
+/// * Take a distance δ between `SKIP_NEAR` and `ZONE_MARGIN`. A candidate
+///   path whose bounce points all lie within δ of the zone has every leg
+///   within δ of it (the grown rectangle is convex), so each wall that
+///   bounces it or can obstruct it is on the lists, and both enumerations
+///   reach the same verdict on it.
+/// * A candidate with a bounce point farther out has a first or last leg
+///   (with at most two bounces, every bounce point ends one) that runs
+///   from an endpoint more than `ZONE_MARGIN` inside to a point more than
+///   δ outside. It crosses the boundary at more than
+///   `SKIP_NEAR` from both of its ends, on an enabled wall that is on the
+///   lists and obstructs it, so the whole room's enumeration rejects the
+///   path too.
+///
+/// Filtering keeps the room order, so accepted paths also reach the
+/// (stable) length sort in the same order.
+#[derive(Clone, Debug)]
+pub struct ZoneLists {
+    /// The zone the lists belong to.
+    pub zone: Zone,
+    /// Reflective walls near the zone, in `room.walls()` order.
+    pub nodes: Vec<MirrorNode>,
+    /// Enabled walls near the zone, in `room.walls()` order.
+    pub clear: Vec<ClearWall>,
+}
+
+impl ZoneLists {
+    /// True if `p` lies more than `ZONE_MARGIN` inside the zone.
+    fn holds(&self, p: Point) -> bool {
+        let z = &self.zone;
+        p.x > z.min.x + ZONE_MARGIN
+            && p.x < z.max.x - ZONE_MARGIN
+            && p.y > z.min.y + ZONE_MARGIN
+            && p.y < z.max.y - ZONE_MARGIN
+    }
+}
+
+/// True if `seg`'s bounding box comes within `ZONE_MARGIN` of `z`: a
+/// superset of the walls that meet the zone grown by that margin.
+fn near_zone(seg: Segment, z: &Zone) -> bool {
+    seg.a.x.min(seg.b.x) <= z.max.x + ZONE_MARGIN
+        && seg.a.x.max(seg.b.x) >= z.min.x - ZONE_MARGIN
+        && seg.a.y.min(seg.b.y) <= z.max.y + ZONE_MARGIN
+        && seg.a.y.max(seg.b.y) >= z.min.y - ZONE_MARGIN
+}
+
 /// Per-room mirror-image expansion, computed once per geometry generation
 /// and shared across all device pairs.
 ///
@@ -203,7 +266,10 @@ pub struct ClearWall {
 /// transmitter position, the tree stores the mirror *surfaces* (not the
 /// images themselves); what it saves per pair is the wall filtering, the
 /// direction normalizations (one sqrt per wall per order per pair in the
-/// reference) and the reflective-wall allocation.
+/// reference) and the reflective-wall allocation. For every declared zone
+/// it also keeps the [`ZoneLists`] a pair inside that zone is traced
+/// against, so an office on a floor of closed offices pays for its own
+/// walls, not the floor's.
 #[derive(Clone, Debug)]
 pub struct ImageTree {
     generation: u64,
@@ -213,33 +279,50 @@ pub struct ImageTree {
     /// Obstruction-test constants for every *enabled* wall, in
     /// `room.walls()` order — the SoA side of [`ClearWall`].
     pub clear: Vec<ClearWall>,
+    /// One entry per declared zone, in `room.zones()` order.
+    pub zones: Vec<ZoneLists>,
 }
 
 impl ImageTree {
     /// Build the expansion for `room` under `cfg`'s bounce-loss cap.
     pub fn build(room: &Room, cfg: &TraceConfig) -> ImageTree {
-        let nodes = room
-            .walls()
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.enabled && w.material.reflection_loss_db() <= cfg.max_bounce_loss_db)
-            .map(|(i, w)| MirrorNode {
-                wall: i,
-                a: w.seg.a,
-                d: w.seg.direction(),
-            })
-            .collect();
-        let clear = room
-            .walls()
-            .iter()
-            .filter(|w| w.enabled)
-            .map(|w| {
-                let s = w.seg.b - w.seg.a;
-                ClearWall {
+        let walls = room.walls();
+        let lists = |keep: &dyn Fn(&Wall) -> bool| -> (Vec<MirrorNode>, Vec<ClearWall>) {
+            let nodes = walls
+                .iter()
+                .enumerate()
+                .filter(|(_, w)| {
+                    w.enabled
+                        && w.material.reflection_loss_db() <= cfg.max_bounce_loss_db
+                        && keep(w)
+                })
+                .map(|(i, w)| MirrorNode {
+                    wall: i,
                     a: w.seg.a,
-                    s,
-                    tol_u: GEOM_EPS / s.length().max(GEOM_EPS),
-                }
+                    d: w.seg.direction(),
+                })
+                .collect();
+            let clear = walls
+                .iter()
+                .filter(|w| w.enabled && keep(w))
+                .map(|w| {
+                    let s = w.seg.b - w.seg.a;
+                    ClearWall {
+                        a: w.seg.a,
+                        s,
+                        tol_u: GEOM_EPS / s.length().max(GEOM_EPS),
+                    }
+                })
+                .collect();
+            (nodes, clear)
+        };
+        let (nodes, clear) = lists(&|_| true);
+        let zones = room
+            .zones()
+            .iter()
+            .map(|&zone| {
+                let (nodes, clear) = lists(&|w| near_zone(w.seg, &zone));
+                ZoneLists { zone, nodes, clear }
             })
             .collect();
         ImageTree {
@@ -247,12 +330,23 @@ impl ImageTree {
             loss_bits: cfg.max_bounce_loss_db.to_bits(),
             nodes,
             clear,
+            zones,
         }
     }
 
     /// Number of mirror surfaces (first-order branching factor).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// The mirror nodes and clear walls that a pair `tx → rx` is traced
+    /// against: the first zone's [`ZoneLists`] that holds both endpoints,
+    /// else the whole room's.
+    fn lists_for(&self, tx: Point, rx: Point) -> (&[MirrorNode], &[ClearWall]) {
+        match self.zones.iter().find(|z| z.holds(tx) && z.holds(rx)) {
+            Some(z) => (&z.nodes, &z.clear),
+            None => (&self.nodes, &self.clear),
+        }
     }
 }
 
@@ -275,8 +369,9 @@ pub fn shared_tree(room: &Room, cfg: &TraceConfig) -> Arc<ImageTree> {
 /// increasing length (the LoS first when present).
 ///
 /// Internally walks the room's cached [`ImageTree`], shared across all
-/// device pairs; output is byte-identical to [`trace_paths_reference`]
-/// (proven by `tests/image_tree_equivalence.rs`).
+/// device pairs, over one zone's [`ZoneLists`] when both endpoints lie
+/// inside that zone; output is byte-identical to
+/// [`trace_paths_reference`] (proven by `tests/image_tree_equivalence.rs`).
 pub fn trace_paths(room: &Room, tx: Point, rx: Point, cfg: &TraceConfig) -> Vec<PropPath> {
     let mut paths = Vec::new();
     if tx.distance(rx) <= GEOM_EPS {
@@ -284,13 +379,14 @@ pub fn trace_paths(room: &Room, tx: Point, rx: Point, cfg: &TraceConfig) -> Vec<
     }
 
     let tree = shared_tree(room, cfg);
+    let (nodes, clear) = tree.lists_for(tx, rx);
     let walls = room.walls();
 
     // Order 0: line of sight. No degenerate-leg guard here — the reference
     // applies only `is_clear` to the LoS leg (the pair-coincidence test
     // above already ran), so the sweep is called directly.
     let r = rx - tx;
-    if leg_is_clear(&tree.clear, tx, rx, r, GEOM_EPS / r.length().max(GEOM_EPS)) {
+    if leg_is_clear(clear, tx, rx, r, GEOM_EPS / r.length().max(GEOM_EPS)) {
         paths.push(make_path(PathKind::LineOfSight, &[tx, rx], &[]));
     }
 
@@ -298,7 +394,7 @@ pub fn trace_paths(room: &Room, tx: Point, rx: Point, cfg: &TraceConfig) -> Vec<
     // image–rx segment crosses the wall. Candidate vertices live on the
     // stack; only accepted paths allocate (inside `make_path`).
     if cfg.max_order >= 1 {
-        for node in &tree.nodes {
+        for node in nodes {
             let w = &walls[node.wall];
             let image = tx.mirror_across(node.a, node.d);
             if image.distance(rx) <= GEOM_EPS {
@@ -308,7 +404,7 @@ pub fn trace_paths(room: &Room, tx: Point, rx: Point, cfg: &TraceConfig) -> Vec<
                 continue;
             };
             let verts = [tx, bounce, rx];
-            if legs_clear_fast(&tree.clear, &verts) {
+            if legs_clear_fast(clear, &verts) {
                 paths.push(make_path(
                     PathKind::Reflected { order: 1 },
                     &verts,
@@ -321,10 +417,10 @@ pub fn trace_paths(room: &Room, tx: Point, rx: Point, cfg: &TraceConfig) -> Vec<
     // Order 2: mirror tx across node 1, then that image across node 2;
     // unfold from the receiver back through both walls.
     if cfg.max_order >= 2 {
-        for (i, n1) in tree.nodes.iter().enumerate() {
+        for (i, n1) in nodes.iter().enumerate() {
             let w1 = &walls[n1.wall];
             let image1 = tx.mirror_across(n1.a, n1.d);
-            for (j, n2) in tree.nodes.iter().enumerate() {
+            for (j, n2) in nodes.iter().enumerate() {
                 if i == j {
                     continue;
                 }
@@ -343,7 +439,7 @@ pub fn trace_paths(room: &Room, tx: Point, rx: Point, cfg: &TraceConfig) -> Vec<
                     continue;
                 };
                 let verts = [tx, b1, b2, rx];
-                if legs_clear_fast(&tree.clear, &verts) {
+                if legs_clear_fast(clear, &verts) {
                     paths.push(make_path(
                         PathKind::Reflected { order: 2 },
                         &verts,

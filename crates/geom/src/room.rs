@@ -46,8 +46,9 @@ impl Wall {
 
 /// An axis-aligned rectangular region declared opaque: every wall on its
 /// boundary fully blocks propagation, so no path connects a point inside
-/// the zone to a point outside it. Zones are an opt-in contract used to
-/// scope cache invalidation after wall mutations — see [`Room::add_zone`].
+/// the zone to a point outside it. Zones are an opt-in contract that
+/// scopes cache invalidation after wall mutations, the spatial prune and
+/// the ray tracer's wall lists — see [`Room::add_zone`].
 #[derive(Clone, Copy, Debug)]
 pub struct Zone {
     /// Lower-left corner (inclusive).
@@ -133,7 +134,10 @@ impl Room {
     }
 
     /// Geometry generation: bumped on every wall addition or mutation.
-    /// Zone declarations do not count — they never change propagation.
+    /// Zone declarations do not count — under their contract they change
+    /// no path — so caches keyed on it survive them. The shared image tree
+    /// does not: [`Room::add_zone`] drops it, because the tree keeps
+    /// per-zone lists.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -141,14 +145,24 @@ impl Room {
     /// Declare an axis-aligned opaque zone and return its index.
     ///
     /// Contract (caller-asserted, not checked): every boundary of the zone
-    /// is covered by walls that fully block propagation, so no path can
-    /// connect the inside of the zone to the outside. Under that contract
-    /// a wall mutation inside one zone cannot change any path whose
-    /// endpoints both lie outside the affected zones, which lets callers
-    /// scope cache invalidation instead of flushing every pair.
+    /// is covered by enabled walls, which fully block propagation, so no
+    /// path can connect the inside of the zone to the outside. Three users
+    /// rely on it:
+    /// - a wall mutation inside one zone cannot change any path whose
+    ///   endpoints both lie outside the affected zones, which lets callers
+    ///   scope cache invalidation instead of flushing every pair;
+    /// - the spatial interference graph prunes every pair split by a zone
+    ///   boundary without tracing it;
+    /// - the ray tracer traces a pair lying inside the zone against only
+    ///   the walls near it (`raytrace::ZoneLists`).
+    ///
+    /// Declaring a zone drops the cached image tree, so the next trace
+    /// rebuilds it with this zone's lists. It leaves
+    /// [`Room::generation`] alone.
     pub fn add_zone(&mut self, min: Point, max: Point) -> usize {
         assert!(min.x <= max.x && min.y <= max.y, "inverted zone corners");
         self.zones.push(Zone { min, max });
+        *self.tree.get_mut() = None;
         self.zones.len() - 1
     }
 

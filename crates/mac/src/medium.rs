@@ -1,12 +1,22 @@
 //! The shared medium: concurrent transmissions, receive powers,
 //! interference accumulation and carrier sensing.
 //!
-//! Whenever a frame starts, its receive power at *every* device is
-//! computed through the channel model (with the transmitter's actual
-//! pattern and each receiver's current listening pattern) and remembered
-//! for the frame's lifetime. That one vector powers everything the paper
-//! measures: SINR-based frame loss, carrier-sense deferral, and — through
-//! the monitors — the busy-time traces.
+//! Whenever a frame starts, the medium records a receive power for every
+//! device and remembers it for the frame's lifetime. That one vector
+//! powers everything the paper measures: SINR-based frame loss,
+//! carrier-sense deferral, and — through the monitors — the busy-time
+//! traces.
+//!
+//! Without spatial pruning, each entry goes through the channel model
+//! (the transmitter's actual pattern and each receiver's current
+//! listening pattern). With it, only the source's *coupled set* does: the
+//! devices that share its zone and lie within the coupling cutoff. Every
+//! other entry is the pruned sentinel [`PRUNED_DBM`]. The medium keeps
+//! each source's coupled set across frames and rebuilds it, in the same
+//! buffer, only after [`Medium::note_device_position`] moved someone, so
+//! a frame on a floor of closed offices costs its own office. Sums of
+//! linear power read a sentinel entry's value from a constant computed
+//! once, instead of calling `powf`.
 
 use crate::device::{Device, PatKey};
 use crate::frame::Frame;
@@ -19,6 +29,10 @@ use mmwave_sim::hash::FastSet;
 use mmwave_sim::metrics::Counter;
 use mmwave_sim::time::SimTime;
 
+/// The receive power of an entry that carries no signal: a frame's own
+/// source, and every pair the spatial prune proves silent, dBm.
+pub const PRUNED_DBM: f64 = -300.0;
+
 /// A transmission currently on the air.
 #[derive(Debug)]
 pub struct ActiveTx {
@@ -30,7 +44,8 @@ pub struct ActiveTx {
     pub start: SimTime,
     /// Scheduled end time.
     pub end: SimTime,
-    /// Receive power at every device index, dBm (−300 at the source).
+    /// Receive power at every device index, dBm ([`PRUNED_DBM`] at the
+    /// source).
     pub power_at: Vec<f64>,
     /// Accumulated interference power at the destination, linear mW.
     pub interference_lin: f64,
@@ -52,14 +67,26 @@ struct SpatialState {
     zone: Vec<Option<usize>>,
     mode: PruneMode,
     floor_dbm: f64,
-    /// Reused neighbor-candidate buffer for the `begin_tx` grid walk.
-    scratch: Vec<usize>,
+    /// Per source device: its coupled set, as the `begin_tx` grid walk
+    /// leaves it. One entry per tracked device.
+    coupled: Vec<CoupledSet>,
+    /// Bumped by every noted position. A coupled set built at an older
+    /// epoch is rebuilt before its source's next frame.
+    epoch: u64,
     /// Directed pairs already verified in audit mode. A pruned pair's
     /// coupling is position-determined, so one verification per position
     /// epoch suffices; entries involving a device are dropped when it
     /// moves (and on full flushes). Membership-only use — iteration order
     /// never observed.
     audited: FastSet<(usize, usize)>,
+}
+
+/// One source's coupled set: `{d ≠ src : coupled_pair(src, d)}` in grid
+/// walk order, valid while `epoch` matches [`SpatialState::epoch`].
+#[derive(Debug, Default)]
+struct CoupledSet {
+    epoch: u64,
+    members: Vec<usize>,
 }
 
 impl SpatialState {
@@ -76,6 +103,21 @@ impl SpatialState {
         self.index
             .coupled(self.index.position(a), self.index.position(b))
     }
+
+    /// Take `src`'s coupled set out of the memo, first rebuilding it in its
+    /// own buffer if a position was noted since it was built. The caller
+    /// puts it back into `coupled[src].members`.
+    fn take_coupled(&mut self, src: usize) -> Vec<usize> {
+        let entry = &mut self.coupled[src];
+        let mut members = std::mem::take(&mut entry.members);
+        if entry.epoch != self.epoch {
+            entry.epoch = self.epoch;
+            self.index
+                .neighbors_into(self.index.position(src), &mut members);
+            members.retain(|&d| d != src && self.coupled_pair(src, d));
+        }
+        members
+    }
 }
 
 /// The medium arbiter.
@@ -91,11 +133,28 @@ pub struct Medium {
     last_heard_end: Vec<SimTime>,
     /// Spent `power_at` buffers awaiting reuse. A bulk transfer turns over
     /// thousands of transmissions; recycling the per-frame vector keeps the
-    /// steady-state frame path allocation-free.
+    /// steady-state frame path allocation-free. Every returned buffer is
+    /// kept, so the pool never holds more than the peak number of frames
+    /// on the air at once.
     power_pool: Vec<Vec<f64>>,
+    /// `db_to_lin(PRUNED_DBM)`, computed once: the linear power of the
+    /// pruned entries that make up most of an interference or
+    /// carrier-sense sum on a spatially pruned floor.
+    pruned_lin: f64,
     /// When present, device pairs beyond the coupling cutoff contribute
-    /// exactly −300 dBm without touching the radiometric chain.
+    /// exactly [`PRUNED_DBM`] without touching the radiometric chain.
     spatial: Option<Box<SpatialState>>,
+}
+
+/// `db_to_lin(dbm)`, with [`PRUNED_DBM`] entries read from `pruned_lin`
+/// (their exact value) instead of recomputed.
+#[inline]
+fn entry_lin(dbm: f64, pruned_lin: f64) -> f64 {
+    if dbm == PRUNED_DBM {
+        pruned_lin
+    } else {
+        db_to_lin(dbm)
+    }
 }
 
 impl Medium {
@@ -108,6 +167,7 @@ impl Medium {
             cache: LinkGainCache::with_ctx(ctx),
             last_heard_end: Vec::new(),
             power_pool: Vec::new(),
+            pruned_lin: db_to_lin(PRUNED_DBM),
             spatial: None,
         }
     }
@@ -115,7 +175,7 @@ impl Medium {
     /// Enable spatial pruning: pairs separated by a closed-zone boundary
     /// (see [`mmwave_geom::Room::add_zone`]) or by more than the coupling
     /// cutoff (derived from `env`'s budget, geometry and `cfg`'s floor)
-    /// contribute exactly −300 dBm. `positions[i]` must be device `i`'s
+    /// contribute exactly [`PRUNED_DBM`]. `positions[i]` must be device `i`'s
     /// current position; callers must keep the grid in sync through
     /// [`Medium::note_device_position`] — a stale entry or a zone that is
     /// not actually radio-closed can prune a pair that couples, which
@@ -140,21 +200,26 @@ impl Medium {
             zone,
             mode,
             floor_dbm: cfg.floor_dbm,
-            scratch: Vec::new(),
+            coupled: positions.iter().map(|_| CoupledSet::default()).collect(),
+            epoch: 1,
             audited: FastSet::default(),
         }));
     }
 
     /// Record a device's (new) position in the spatial index, re-deriving
-    /// its zone membership. No-op while spatial pruning is disabled.
+    /// its zone membership. Every source's memoized coupled set goes stale
+    /// and is rebuilt before that source's next frame. No-op while spatial
+    /// pruning is disabled.
     pub fn note_device_position(&mut self, env: &Environment, idx: usize, p: Point) {
         if let Some(sp) = self.spatial.as_mut() {
             sp.index.set_position(idx, p);
             if idx == sp.zone.len() {
                 sp.zone.push(env.room.zone_of(p));
+                sp.coupled.push(CoupledSet::default());
             } else {
                 sp.zone[idx] = env.room.zone_of(p);
             }
+            sp.epoch += 1;
             sp.audited.retain(|&(a, b)| a != idx && b != idx);
         }
     }
@@ -225,7 +290,7 @@ impl Medium {
                          {true_dbm:.1} dBm (floor {floor} dBm)"
                     );
                 }
-                return -300.0;
+                return PRUNED_DBM;
             }
         }
         let dst_key = devices[dst].listen_key();
@@ -260,27 +325,30 @@ impl Medium {
     ) -> u64 {
         debug_assert_eq!(link_offsets.len(), devices.len());
         let src = frame.src;
-        let mut power_at = self.power_pool.pop().unwrap_or_default();
+        let mut power_at = self
+            .power_pool
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(devices.len()));
         power_at.clear();
 
-        // Enforce-mode fast path: enumerate only the source's grid
-        // neighborhood instead of probing every device. The coupled set —
-        // `{d ≠ src : distance ≤ cutoff}` — is exactly the set the
+        // Enforce-mode fast path: evaluate only the source's memoized
+        // coupled set instead of probing every device. That set —
+        // `{d ≠ src : coupled_pair(src, d)}` — is exactly the set the
         // per-device loop below would compute through, so both paths yield
         // bit-identical powers and identical prune counts.
         let coupled = match self.spatial.as_mut() {
             Some(sp) if sp.mode == PruneMode::Enforce && sp.index.tracked() == devices.len() => {
-                let mut scratch = std::mem::take(&mut sp.scratch);
-                sp.index
-                    .neighbors_into(sp.index.position(src), &mut scratch);
-                scratch.retain(|&d| d != src && sp.coupled_pair(src, d));
-                Some(scratch)
+                Some(sp.take_coupled(src))
             }
             _ => None,
         };
         if let Some(coupled) = coupled {
             for (d, &offset) in link_offsets[..devices.len()].iter().enumerate() {
-                power_at.push(if d == src { -300.0 } else { -300.0 + offset });
+                power_at.push(if d == src {
+                    PRUNED_DBM
+                } else {
+                    PRUNED_DBM + offset
+                });
             }
             for &d in &coupled {
                 power_at[d] = self.rx_power_dbm(env, devices, src, pattern, d, extra_power_db)
@@ -288,11 +356,11 @@ impl Medium {
             }
             let pruned = (devices.len() as u64 - 1) - coupled.len() as u64;
             self.cache.ctx().add(Counter::SpatialPrunedPairs, pruned);
-            self.spatial.as_mut().expect("spatial state").scratch = coupled;
+            self.spatial.as_mut().expect("spatial state").coupled[src].members = coupled;
         } else {
             power_at.extend((0..devices.len()).map(|d| {
                 if d == src {
-                    -300.0
+                    PRUNED_DBM
                 } else {
                     self.rx_power_dbm(env, devices, src, pattern, d, extra_power_db)
                         + link_offsets[d]
@@ -301,13 +369,14 @@ impl Medium {
         }
 
         // Interference bookkeeping, both directions.
+        let pruned_lin = self.pruned_lin;
         let mut interference_lin = 0.0;
         let mut dst_was_busy = false;
         for other in &mut self.active {
             // The new frame interferes with every ongoing addressed frame.
             if let Some(odst) = other.frame.dst {
                 if odst != src {
-                    other.interference_lin += db_to_lin(power_at[odst]);
+                    other.interference_lin += entry_lin(power_at[odst], pruned_lin);
                 } else {
                     // Their receiver just started transmitting.
                     other.dst_was_busy = true;
@@ -318,7 +387,7 @@ impl Medium {
                 if other.frame.src == dst {
                     dst_was_busy = true;
                 } else {
-                    interference_lin += db_to_lin(other.power_at[dst]);
+                    interference_lin += entry_lin(other.power_at[dst], pruned_lin);
                 }
             }
         }
@@ -339,7 +408,10 @@ impl Medium {
 
     /// Remove a finished transmission and return it. A device "heard" it
     /// (for AIFS idle tracking) if it arrived above that device's
-    /// carrier-sense threshold, `cs_threshold_dbm(device)`.
+    /// carrier-sense threshold, `cs_threshold_dbm(device)`. The threshold
+    /// is read only for entries above [`PRUNED_DBM`]: a threshold must lie
+    /// above the sentinel, as every carrier-sense threshold does, so no
+    /// entry at or below it can be heard.
     pub fn finish_tx(
         &mut self,
         id: u64,
@@ -351,7 +423,7 @@ impl Medium {
             self.last_heard_end.resize(tx.power_at.len(), SimTime::ZERO);
         }
         for (d, &p) in tx.power_at.iter().enumerate() {
-            if d == tx.frame.src || p > cs_threshold_dbm(d) {
+            if d == tx.frame.src || (p > PRUNED_DBM && p > cs_threshold_dbm(d)) {
                 self.last_heard_end[d] = self.last_heard_end[d].max(tx.end);
             }
         }
@@ -381,7 +453,12 @@ impl Medium {
     /// Total received energy at device `dev` from all ongoing
     /// transmissions, dBm (−300 when quiet).
     pub fn energy_at(&self, dev: usize) -> f64 {
-        lin_to_db(self.active.iter().map(|t| db_to_lin(t.power_at[dev])).sum())
+        lin_to_db(
+            self.active
+                .iter()
+                .map(|t| entry_lin(t.power_at[dev], self.pruned_lin))
+                .sum(),
+        )
     }
 
     /// Carrier-sense verdict for `dev` at the given threshold.
@@ -392,11 +469,10 @@ impl Medium {
     /// Return a spent `power_at` buffer to the reuse pool. The MAC calls
     /// this after consuming a finished transmission; external drivers of
     /// `begin_tx`/`finish_tx` (tests, benches) can do the same to keep the
-    /// steady-state frame path allocation-free.
+    /// steady-state frame path allocation-free. Every buffer is kept: their
+    /// number is bounded by the peak number of concurrent frames.
     pub fn recycle_power(&mut self, v: Vec<f64>) {
-        if self.power_pool.len() < 16 {
-            self.power_pool.push(v);
-        }
+        self.power_pool.push(v);
     }
 
     /// Is this device currently transmitting?
@@ -780,6 +856,51 @@ mod tests {
         let p = m.rx_power_dbm(&env, &devices, 0, PatKey::Dir(16), 2, 0.0);
         assert!(p > -100.0, "co-located pair must couple, got {p}");
         assert_eq!(ctx.counters().spatial_pruned_pairs, 1);
+    }
+
+    #[test]
+    fn memoized_coupled_set_follows_a_zone_crossing() {
+        // Device 0's coupled set is kept across its frames. Dock B crossing
+        // into room A and back between two of them must show up exactly as
+        // in a fresh medium built at the new positions.
+        let (env, mut devices) = two_room_setup();
+        let cfg = mmwave_channel::SpatialConfig::default();
+        let enforce = mmwave_channel::PruneMode::Enforce;
+        let offs = vec![0.0; devices.len()];
+        let send = |m: &mut Medium, devices: &[Device], ctx: &SimCtx| {
+            let pruned = ctx.counters().spatial_pruned_pairs;
+            let id = m.begin_tx(
+                &env,
+                devices,
+                data_frame(0, 1, 1),
+                PatKey::Dir(16),
+                0.0,
+                t(0),
+                t(5),
+                &offs,
+            );
+            let tx = m.finish_tx(id, |_| -68.0).expect("tx");
+            let bits: Vec<u64> = tx.power_at.iter().map(|p| p.to_bits()).collect();
+            m.recycle_power(tx.power_at);
+            (bits, ctx.counters().spatial_pruned_pairs - pruned)
+        };
+        let ctx = SimCtx::new();
+        let mut m = Medium::with_ctx(&ctx);
+        m.enable_spatial(&env, &cfg, enforce, &positions(&devices));
+        let (bits, pruned) = send(&mut m, &devices, &ctx);
+        assert_eq!((bits[2], pruned), (PRUNED_DBM.to_bits(), 1));
+        for (p, couples) in [(Point::new(2.0, 1.0), true), (Point::new(12.0, 1.5), false)] {
+            devices[2].node.position = p;
+            m.link_cache_mut().bump_position(2);
+            m.note_device_position(&env, 2, p);
+            let got = send(&mut m, &devices, &ctx);
+            let fresh_ctx = SimCtx::new();
+            let mut fresh = Medium::with_ctx(&fresh_ctx);
+            fresh.enable_spatial(&env, &cfg, enforce, &positions(&devices));
+            let want = send(&mut fresh, &devices, &fresh_ctx);
+            assert_eq!(got, want, "dock B at {p}");
+            assert_eq!(got.1, if couples { 0 } else { 1 }, "dock B at {p}");
+        }
     }
 
     #[test]

@@ -830,12 +830,17 @@ impl Net {
 
         let mut offsets = std::mem::take(&mut self.offsets_scratch);
         offsets.clear();
-        for d in 0..self.devices.len() {
-            offsets.push(if d == src {
-                0.0
-            } else {
-                self.link_offset_db(src, d)
-            });
+        if self.cfg.enable_fading {
+            for d in 0..self.devices.len() {
+                offsets.push(if d == src {
+                    0.0
+                } else {
+                    self.link_offset_db(src, d)
+                });
+            }
+        } else {
+            // Without fading every offset is exactly 0.0.
+            offsets.resize(self.devices.len(), 0.0);
         }
 
         let class = frame.kind.class();

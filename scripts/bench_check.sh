@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Bench regression gate: run the kernel registry into a scratch file and
-# compare every median against the committed BENCH_kernels.json baseline.
+# compare it against the committed BENCH_kernels.json baseline: every
+# whole-number allocs_per_iter exactly (allocation counts do not depend on
+# the host's speed), every median within a tolerance.
 #
-#   scripts/bench_check.sh                    # gate at the default +100%
-#   BENCH_TOLERANCE=0.5 scripts/bench_check.sh  # tighter band
+#   scripts/bench_check.sh                    # time gate at the default +100%
+#   BENCH_TOLERANCE=0.5 scripts/bench_check.sh  # tighter time band
 #
 # Re-baselining (after an intentional perf change): run
 #   cargo bench -p mmwave-bench --bench kernels

@@ -249,10 +249,13 @@ check_no_alloc crates/geom/src/raytrace.rs leg_is_clear
 check_no_alloc crates/geom/src/raytrace.rs legs_clear_fast
 check_no_alloc crates/channel/src/linkgain.rs weighted_sum
 # The per-frame MAC path: data PPDUs draw their MPDU buffers from the
-# net's pool and receive powers from the medium's.
+# net's pool and receive powers from the medium's, and a source's coupled
+# set is rebuilt in its own memo buffer after a device moves.
 check_no_alloc crates/mac/src/wigig.rs send_next_data
 check_no_alloc crates/mac/src/net.rs start_tx
 check_no_alloc crates/mac/src/medium.rs begin_tx
+check_no_alloc crates/mac/src/medium.rs take_coupled
+check_no_alloc crates/mac/src/medium.rs finish_tx
 
 echo "==> ablations binary against its golden output"
 # The ablations binary is the only production caller that sets a
